@@ -22,6 +22,9 @@ from .graph import (ResolutionGraph, dual_cycle, intersection_matrix,
 __all__ = ["ClassElement", "ClassGroup", "class_group", "class_of",
            "reduced_rep", "in_lipman_cone", "cycle_min"]
 
+# Most classes `ClassGroup.elements()` walks; every caller does work per class.
+MAX_ENUMERATED_CLASSES = 100_000
+
 
 @dataclass(frozen=True)
 class ClassElement:
@@ -49,7 +52,12 @@ class ClassGroup:
         return ClassElement((0,) * len(self.factors))
 
     def elements(self):
-        """All classes, in lexicographic coordinate order."""
+        """All classes, in lexicographic coordinate order; refuses, before
+        the first class, more than MAX_ENUMERATED_CLASSES of them."""
+        if self.order > MAX_ENUMERATED_CLASSES:
+            raise PreconditionError(
+                f"the class group has {self.order} classes; enumerating them is "
+                f"refused above {MAX_ENUMERATED_CLASSES}")
         for coords in itertools.product(*(range(d) for d in self.factors)):
             yield ClassElement(coords)
 

@@ -114,22 +114,16 @@ def antinef_closure(g: ResolutionGraph, start: RatCycle,
     return _run_sequence(g, start, tie_break, _step_cap(g, start))
 
 
-@lru_cache(maxsize=None)
 def laufer_rational(g: ResolutionGraph) -> bool:
-    """Rationality by the sequence criterion.
+    """Rationality by Artin's criterion (Amer. J. Math. 88, 1966): a tree of
+    genus-zero curves with chi(Z_min) = 1.
 
-    A tree of genus-zero curves is rational exactly when the computation
-    sequence for the fundamental cycle meets every chosen vertex with
-    pairing one; we require it from every start vertex.
+    It is Laufer's sequence criterion: as chi(E_v) = 1 and chi(Z + E_v) =
+    chi(Z) + 1 - (Z, E_v), a sequence from any vertex to Z_min gives
+    chi(Z_min) = 1 + sum(1 - value), and every step's value is at least one.
     """
     require_negative_definite(g)
-    if not (g.is_tree and g.all_genus_zero):
-        return False
-    for vid in g.ids:
-        seq = _run_sequence(g, RatCycle.unit(vid), None, _BOOTSTRAP_CAP)
-        if any(step.value != 1 for step in seq.steps):
-            return False
-    return True
+    return g.is_tree and g.all_genus_zero and chi(g, fundamental_cycle(g).end) == 1
 
 
 def minimal_antinef_rep(g: ResolutionGraph, cg: ClassGroup, h: ClassElement,
@@ -218,7 +212,9 @@ class SingularityType:
 def classify_singularity(g: ResolutionGraph) -> SingularityType:
     """Decide the singularity class supported by the lattice data alone.
 
-    Rationality uses the sequence criterion. Ellipticity is chi of the
+    Rationality is Artin's criterion, chi(Z_min) = 1 on a tree of genus-zero
+    curves, which is Laufer's: chi(Z_min) = 1 + sum(1 - value) along any
+    computation sequence from a vertex to Z_min. Ellipticity is chi of the
     fundamental cycle vanishing. The minimally elliptic verdict asks for an
     integral canonical cycle equal to the elliptic cycle, plus equality
     with the fundamental cycle on minimal resolutions; on non-minimal

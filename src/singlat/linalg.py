@@ -1,13 +1,15 @@
 """Exact linear algebra for small dense matrices.
 
-Integer determinants use fraction-free (Bareiss) elimination, rational
-solves use plain Gaussian elimination over `Fraction`, and the Smith normal
-form keeps the left transform together with its inverse so cokernel
-coordinates and generator pullbacks stay exact.
+One fraction-free (Bareiss) elimination gives determinants, the
+definiteness test (its pivots are the leading minors) and exact solves
+(its Gauss-Jordan form leaves the adjugate, divided by det at the end).
+The Smith normal form keeps the left transform together with its inverse
+so cokernel coordinates and generator pullbacks stay exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InternalError
@@ -22,76 +24,66 @@ def mat_mul(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
-def determinant(rows) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    a = [list(r) for r in rows]
+def _bareiss(a, jordan=False):
+    """Fraction-free elimination (Bareiss, 1968) of the leading square block
+    of the integer rows ``a``, in place, yielding each step's pivot.
+
+    Up to the first zero pivot, the k-th pivot is the k-th leading minor. A
+    zero pivot is mended by swapping in a lower row and negating the other,
+    which keeps the determinant, so the last pivot is det(A); a column with
+    no pivot yields 0 and ends the elimination. With ``jordan`` the rows
+    above each pivot are cleared too, leaving adj(A) times the extra columns.
+    """
     n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix is not square")
-    sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
+        yield a[k][k]
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return
+            a[k], a[swap] = a[swap], [-x for x in a[k]]
+        p, pivot_row = a[k][k], a[k][k:]
+        for i in range(n) if jordan else range(k + 1, n):
+            if i != k:
+                f = a[i][k]
+                a[i][k:] = [(p * x - f * y) // prev for x, y in zip(a[i][k:], pivot_row)]
+        prev = p
+
+
+def determinant(rows) -> int:
+    """Exact determinant of a square integer matrix."""
+    a = [list(r) for r in rows]
+    if any(len(r) != len(a) for r in a):
+        raise ValueError("matrix is not square")
+    return [1, *_bareiss(a)][-1]  # the last pivot; 1 for the empty matrix
 
 
 def is_positive_definite(rows) -> bool:
-    """True iff every leading principal minor of the integer matrix is > 0."""
-    n = len(rows)
-    for k in range(1, n + 1):
-        minor = determinant([r[:k] for r in rows[:k]])
-        if minor <= 0:
-            return False
-    return True
+    """True iff every leading principal minor of the integer matrix is > 0:
+    one elimination, stopped at the first pivot that is not positive."""
+    return all(pivot > 0 for pivot in _bareiss([list(r) for r in rows]))
+
+
+def _solve_block(rows, rhs_rows) -> list[list[Fraction]]:
+    """The exact X with A X = B; rows of A and B may be rational."""
+    a = [list(r) + list(b) for r, b in zip(rows, rhs_rows)]
+    scale = math.lcm(*(x.denominator for row in a for x in row))  # leaves X alone
+    a = [[int(x * scale) for x in row] for row in a]
+    det = [1, *_bareiss(a, jordan=True)][-1]
+    if det == 0:
+        raise ValueError("singular matrix")
+    return [[Fraction(x, det) for x in row[len(a):]] for row in a]
 
 
 def solve(rows, rhs) -> list[Fraction]:
     """Solve A x = b exactly; raises ValueError on a singular matrix."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    return [x for (x,) in _solve_block(rows, [[b] for b in rhs])]
 
 
 def invert(rows) -> list[list[Fraction]]:
     """Exact inverse of a square integer or rational matrix."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    return _solve_block(rows, identity(len(rows)))
 
 
 def smith_normal_form(rows):

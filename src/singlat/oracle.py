@@ -10,6 +10,7 @@ computation-sequence machinery they are meant to audit.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,15 +125,31 @@ def antinef_points(g: ResolutionGraph, box: Optional[Box] = None) -> list[tuple[
     return out
 
 
+def _by_class(points) -> dict[ClassElement, list[RatCycle]]:
+    """Points grouped by class, each group in enumeration order."""
+    by_class: dict[ClassElement, list[RatCycle]] = {}
+    for cls, point in points:
+        by_class.setdefault(cls, []).append(point)
+    return by_class
+
+
+def _class_minima(by_class) -> dict[ClassElement, RatCycle]:
+    return {cls: functools.reduce(cycle_min, points) for cls, points in by_class.items()}
+
+
+def _least_nonzero_integral(zero_points: list[RatCycle]) -> Optional[RatCycle]:
+    candidates = [p for p in zero_points if p and p.is_integral]
+    if not candidates:
+        return None
+    minimum = functools.reduce(cycle_min, candidates)
+    if minimum not in candidates:  # pragma: no cover - monoid closure under min
+        raise InternalError("integral anti-nef points are not closed under minimum")
+    return minimum
+
+
 def brute_lipman_minima(g: ResolutionGraph, box: Optional[Box] = None) -> dict[ClassElement, RatCycle]:
     """Coefficient-wise minimum of the boxed anti-nef points, per class."""
-    minima: dict[ClassElement, RatCycle] = {}
-    for cls, point in antinef_points(g, box):
-        if cls in minima:
-            minima[cls] = cycle_min(minima[cls], point)
-        else:
-            minima[cls] = point
-    return minima
+    return _class_minima(_by_class(antinef_points(g, box)))
 
 
 def brute_lipman_min(g: ResolutionGraph, h: ClassElement,
@@ -198,18 +215,8 @@ def brute_min_chi(g: ResolutionGraph, box: Optional[Box] = None) -> tuple[int, R
 
 def brute_fundamental_cycle(g: ResolutionGraph, box: Optional[Box] = None) -> Optional[RatCycle]:
     """Minimal nonzero integral anti-nef cycle found inside the box."""
-    cg = class_group(g)
-    zero = cg.zero()
-    candidates = [point for cls, point in antinef_points(g, box)
-                  if cls == zero and point and point.is_integral]
-    if not candidates:
-        return None
-    minimum = candidates[0]
-    for c in candidates[1:]:
-        minimum = cycle_min(minimum, c)
-    if minimum not in candidates:  # pragma: no cover - monoid closure under min
-        raise InternalError("integral anti-nef points are not closed under minimum")
-    return minimum
+    zero_points = _by_class(antinef_points(g, box)).get(class_group(g).zero(), [])
+    return _least_nonzero_integral(zero_points)
 
 
 @dataclass(frozen=True)
@@ -327,7 +334,11 @@ def verify_all(g: ResolutionGraph, scale: int = 3, size_limit: int = 8,
             assert diff.is_integral, f"dual {v} minus its reduced representative is not integral"
         return f"{cg.order} classes reduced"
 
-    minima = brute_lipman_minima(g, box)
+    # one enumeration feeds every check that compares against the box
+    points = antinef_points(g, box)
+    by_class = _by_class(points)
+    zero_points = by_class.get(cg.zero(), [])
+    minima = _class_minima(by_class)
 
     def check_minimal_reps():
         for h in cg.elements():
@@ -343,13 +354,10 @@ def verify_all(g: ResolutionGraph, scale: int = 3, size_limit: int = 8,
         # + an anti-nef integral cycle) fails in general; see the ledgered
         # counterexamples. What is asserted: the shifted monoid stays inside
         # the class, and the minimal cycle sits below everything.
-        by_class: dict[ClassElement, set[RatCycle]] = {}
-        for cls, point in antinef_points(g, box):
-            by_class.setdefault(cls, set()).add(point)
-        zero_part = by_class.get(cg.zero(), set())
+        zero_part = set(zero_points)
         for h in cg.elements():
             rep = minimal_antinef_rep(g, cg, h)
-            actual = by_class.get(h, set())
+            actual = set(by_class.get(h, ()))
             for s in zero_part:
                 shifted = rep + s
                 if box.contains(shifted):
@@ -362,7 +370,6 @@ def verify_all(g: ResolutionGraph, scale: int = 3, size_limit: int = 8,
     def check_closure_endpoints():
         # the closure endpoint from a general start is the least enumerated
         # anti-nef point above the start in its congruence class
-        points = antinef_points(g, box)
         starts = [RatCycle.unit(ids[0]), -duals[ids[0]], duals[ids[-1]].frac()]
         if len(ids) > 1:
             starts.append(duals[ids[0]].frac() - RatCycle.unit(ids[1]))
@@ -370,15 +377,13 @@ def verify_all(g: ResolutionGraph, scale: int = 3, size_limit: int = 8,
             end = antinef_closure(g, start).end
             eligible = [p for cls, p in points if p >= start and (p - start).is_integral]
             assert end in eligible, f"closure endpoint of {start} escaped the box"
-            best = eligible[0]
-            for p in eligible[1:]:
-                best = cycle_min(best, p)
+            best = functools.reduce(cycle_min, eligible)
             assert best == end, \
                 f"closure from {start} gave {end}, enumeration minimum is {best}"
         return f"{len(starts)} starts confirmed against the enumeration"
 
     def check_fundamental():
-        brute = brute_fundamental_cycle(g, box)
+        brute = _least_nonzero_integral(zero_points)
         assert brute is not None, "box missed every nonzero integral anti-nef cycle"
         assert brute == z_min, f"sequence gives {z_min}, enumeration gives {brute}"
         assert all(z_min.coefficient(v) >= 1 for v in ids), "a coefficient is below one"
@@ -432,20 +437,17 @@ def verify_all(g: ResolutionGraph, scale: int = 3, size_limit: int = 8,
         return "sequence h1 equals the chi difference on every class"
 
     def check_min_closure():
-        by_class: dict[ClassElement, list[RatCycle]] = {}
-        for cls, point in antinef_points(g, box):
-            by_class.setdefault(cls, []).append(point)
         rng = random.Random(seed + 3)
-        for h, points in by_class.items():
-            for _ in range(min(10, len(points))):
-                a, b = rng.choice(points), rng.choice(points)
+        for h, group in by_class.items():
+            for _ in range(min(10, len(group))):
+                a, b = rng.choice(group), rng.choice(group)
                 m = cycle_min(a, b)
                 assert in_lipman_cone(g, m), f"min of two anti-nef cycles of {h.coords} is not anti-nef"
                 assert (a - b).is_integral, "two points of one class differ non-integrally"
         return "sampled minima stay anti-nef within each class"
 
     def check_monoid():
-        integral = [p for cls, p in antinef_points(g, box) if cls == cg.zero() and p.is_integral]
+        integral = [p for p in zero_points if p.is_integral]
         for p in integral:
             if p:
                 assert all(p.coefficient(v) > 0 for v in ids), \

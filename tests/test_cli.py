@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -207,3 +208,19 @@ def test_byte_identical_outputs(capsys):
     _, out1, _ = run(capsys, "classify", "--catalog", "paper-z7", "--format", "json")
     _, out2, _ = run(capsys, "classify", "--catalog", "paper-z7", "--format", "json")
     assert out1 == out2
+
+
+def test_class_enumeration_budget(capsys, tmp_path):
+    # det 61305790721611591: the invariants are cheap, the classes are not
+    path = tmp_path / "chain40.graph"
+    path.write_text("".join(f"vertex v{i} euler=-3\n" for i in range(40))
+                    + "".join(f"edge v{i} v{i + 1}\n" for i in range(39)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sh", str(path))
+    assert time.perf_counter() - start < 10
+    assert code == 2
+    assert out == ""
+    assert "classes" in err
+    code, out, _ = run(capsys, "invariants", str(path))
+    assert code == 0
+    assert "order 61305790721611591" in out

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from singlat import (PreconditionError, RatCycle, antinef_closure, canonical_cycle,
-                     catalog, class_group, class_of, classify_singularity, dual_basis,
-                     fundamental_cycle, h1_rational, in_lipman_cone,
-                     minimal_antinef_rep, minimally_elliptic_cycle, reduced_rep)
+                     catalog, catalog_names, class_group, class_of, classify_singularity,
+                     dual_basis, extend_graph, fundamental_cycle, h1_rational,
+                     in_lipman_cone, laufer_rational, minimal_antinef_rep,
+                     minimally_elliptic_cycle, reduced_rep)
 
 from conftest import graph, tie_break_policies
 
@@ -247,3 +248,32 @@ def test_classify_parallel_edge_cusp():
 def test_corpus_is_rational(rational_corpus):
     for g in rational_corpus[:20]:
         assert classify_singularity(g).rational
+
+
+# --- rationality: Artin's criterion against Laufer's sequence criterion ---
+
+def sequence_rational(g):
+    """Reference: a tree of genus-zero curves on which the computation
+    sequence from every start vertex pairs to one at every step."""
+    if not (g.is_tree and g.all_genus_zero):
+        return False
+    return all(step.value == 1
+               for vid in g.ids for step in fundamental_cycle(g, start_vertex=vid).steps)
+
+
+def test_rationality_matches_sequence_criterion(rational_corpus, negdef_corpus):
+    names = [name for name in catalog_names() if "<" not in name] + ["A1", "A9", "D7"]
+    graphs = rational_corpus + negdef_corpus + [catalog(name) for name in names]
+    for g in rational_corpus[:20] + negdef_corpus[:20]:
+        for vid in g.ids:
+            for euler in range(-2, -7, -1):
+                try:
+                    graphs.append(extend_graph(g, vid, euler))
+                except PreconditionError:  # extension not negative definite
+                    pass
+    verdicts = []
+    for g in graphs:
+        verdict = laufer_rational(g)
+        assert verdict == sequence_rational(g), g
+        verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from singlat.linalg import (determinant, identity, invert, is_positive_definite,
@@ -41,6 +41,23 @@ square_matrices = st.integers(min_value=1, max_value=4).flatmap(
         st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
         min_size=n, max_size=n))
 
+def _symmetric(n, diagonal, off_diagonal):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = diagonal[i]
+        for j in range(i):
+            rows[i][j] = rows[j][i] = off_diagonal[i * (i - 1) // 2 + j]
+    return rows
+
+
+# a heavy diagonal makes the positive-definite side common
+symmetric_matrices = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.builds(
+        _symmetric, st.just(n),
+        st.lists(st.integers(min_value=-2, max_value=9), min_size=n, max_size=n),
+        st.lists(st.integers(min_value=-3, max_value=3),
+                 min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+
 rect_matrices = st.tuples(
     st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)
 ).flatmap(lambda nm: st.lists(
@@ -78,3 +95,38 @@ def test_smith_preserves_determinant(a):
     for x in d:
         product *= x
     assert product == abs(determinant(a))
+
+
+def leading_minors_positive(a):
+    """Reference: every leading principal minor, each by its own determinant."""
+    return all(determinant([row[:k] for row in a[:k]]) > 0 for k in range(1, len(a) + 1))
+
+
+@given(square_matrices)
+def test_positive_definite_is_leading_minors(a):
+    assert is_positive_definite(a) == leading_minors_positive(a)
+
+
+@given(symmetric_matrices)
+@example([[2, -1], [-1, 2]])
+def test_positive_definite_symmetric(a):
+    assert is_positive_definite(a) == leading_minors_positive(a)
+
+
+@given(square_matrices, st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4))
+def test_invert_and_solve(a, b):
+    n = len(a)
+    b = b[:n]
+    if determinant(a) == 0:
+        with pytest.raises(ValueError):
+            invert(a)
+        with pytest.raises(ValueError):
+            solve(a, b)
+        return
+    assert mat_mul(a, invert(a)) == identity(n)
+    x = solve(a, b)
+    assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+    # rational input: dividing row i and b_i by i + 1 leaves the solution alone
+    scaled = [[Fraction(v, i + 1) for v in row] for i, row in enumerate(a)]
+    assert mat_mul(scaled, invert(scaled)) == identity(n)
+    assert solve(scaled, [Fraction(v, i + 1) for i, v in enumerate(b)]) == x

@@ -119,3 +119,30 @@ def test_minima_cover_all_classes(rational_corpus):
         cg = class_group(g)
         minima = brute_lipman_minima(g)
         assert set(minima) == set(cg.elements())
+
+
+VERIFY_CHECKS = (
+    "dual-basis-pairings", "canonical-cycle-adjunction", "chi-quadratic",
+    "class-group-order", "class-generator-orders", "class-homomorphism",
+    "reduced-representatives", "minimal-cycles-vs-enumeration", "class-cone-vertex",
+    "closure-endpoints-vs-enumeration", "fundamental-cycle-vs-enumeration",
+    "sequence-path-independence", "rationality-chi-criterion",
+    "specialness-triple-agreement", "h1-chi-formula", "lipman-min-closure",
+    "monoid-positivity", "blow-up-invariance", "extension-stability",
+)
+
+
+def test_verify_all_enumerates_once(z7, monkeypatch):
+    import singlat.oracle as oracle
+    calls = []
+    original = oracle.antinef_points
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "antinef_points", counting)
+    transcript = verify_all(z7)
+    assert len(calls) == 1
+    assert tuple(c.name for c in transcript.checks) == VERIFY_CHECKS
+    assert transcript.passed, transcript.to_text()
