@@ -58,15 +58,15 @@ def _load_graph(args) -> ResolutionGraph:
 
 
 def _box_scale(args) -> int:
-    if args.box is not None:
-        return args.box
-    env = os.environ.get("SINGLAT_BOX")
-    if env:
+    scale, env = args.box, os.environ.get("SINGLAT_BOX")
+    if scale is None and env:
         try:
-            return int(env)
+            scale = int(env)
         except ValueError:
             raise InputError(f"SINGLAT_BOX must be an integer, got {env!r}") from None
-    return 3
+    if scale is not None and scale < 1:
+        raise InputError("box scale must be a positive integer")
+    return 3 if scale is None else scale
 
 
 def _emit(args, doc_type: str, payload: dict, text: str) -> None:

@@ -9,10 +9,10 @@ because links are connected.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Union
 
 from . import linalg
@@ -31,6 +31,7 @@ class Vertex:
 class ResolutionGraph:
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[str, str], ...] = ()
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -132,6 +133,23 @@ class ResolutionGraph:
         return f"{base}{k}"
 
 
+def per_graph(fn):
+    """Compute `fn(g)` at most once per graph object, kept in `g._memo`.
+
+    The value lives exactly as long as the graph: once the last reference
+    to a graph is dropped, everything computed from it goes with it. Equal
+    graphs built separately compute their own values, and a call that
+    raises stores nothing.
+    """
+    @functools.wraps(fn)
+    def memoised(g):
+        memo = g._memo
+        if fn not in memo:
+            memo[fn] = fn(g)
+        return memo[fn]
+    return memoised
+
+
 @dataclass(frozen=True)
 class IntersectionMatrix:
     ids: tuple[str, ...]
@@ -154,7 +172,7 @@ class BlowUpMap:
     new_id: str
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def intersection_matrix(g: ResolutionGraph) -> IntersectionMatrix:
     """Symmetric matrix with Euler numbers on the diagonal and edge
     multiplicities off it."""
@@ -175,7 +193,7 @@ def is_negative_definite(m: IntersectionMatrix) -> bool:
     return linalg.is_positive_definite(m.negated())
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def _negative_definite(g: ResolutionGraph) -> bool:
     return is_negative_definite(intersection_matrix(g))
 
@@ -185,7 +203,7 @@ def require_negative_definite(g: ResolutionGraph) -> None:
         raise PreconditionError("intersection form is not negative definite")
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def lattice_determinant(g: ResolutionGraph) -> int:
     """det(-M); equals the order of the discriminant group when positive."""
     return linalg.determinant(intersection_matrix(g).negated())
@@ -206,7 +224,7 @@ def pairing(g: ResolutionGraph, a: RatCycle, b: RatCycle) -> Fraction:
     total = Fraction(0)
     for i, x in enumerate(va):
         if x:
-            total += x * sum(rows[i][j] * vb[j] for j in range(len(vb)) if vb[j])
+            total += x * sum(m * y for m, y in zip(rows[i], vb) if m and y)
     return total
 
 
@@ -214,10 +232,10 @@ def pairing_vector(g: ResolutionGraph, cycle: RatCycle) -> list[Fraction]:
     """Pairings of the cycle with every vertex basis element, in order."""
     vec = _coefficient_vector(g, cycle)
     rows = intersection_matrix(g).rows
-    return [sum(Fraction(rows[i][j]) * vec[j] for j in range(len(vec))) for i in range(len(vec))]
+    return [sum((m * x for m, x in zip(row, vec) if m), Fraction(0)) for row in rows]
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def _neg_inverse(g: ResolutionGraph) -> tuple[tuple[Fraction, ...], ...]:
     require_negative_definite(g)
     try:
@@ -247,7 +265,7 @@ def adjunction_targets(g: ResolutionGraph) -> list[int]:
     return [v.euler + 2 - 2 * v.genus for v in g.vertices]
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def canonical_cycle(g: ResolutionGraph) -> RatCycle:
     """The unique rational cycle realising the adjunction pairings.
 
@@ -327,40 +345,38 @@ def _extended(g: ResolutionGraph, vid: str, euler: int) -> ResolutionGraph:
 def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> ResolutionGraph:
     """Glue one genus-zero vertex of the given Euler number onto a vertex.
 
-    When the Euler number is omitted, search downward from -2 for the
-    largest value whose extension is negative definite with the new vertex
-    appearing with multiplicity one in the fundamental cycle, and whose
-    rationality/multiplicity verdicts agree at the two next-lower values.
+    The extension with Euler number k is negative definite exactly when
+    k < -inv_self, inv_self being the vertex's diagonal entry of (-M)^-1 (a
+    Schur complement), so no extended graph is built to decide it. With the
+    Euler number omitted, the search starts at the first negative-definite
+    value at or below -2 and walks down, at most 11 steps past that value,
+    to the first extension in which the new vertex has multiplicity one in
+    the fundamental cycle and whose rationality/multiplicity verdicts agree
+    at the two next-lower values. Each value is probed once per call.
     """
     require_negative_definite(g)
     g.vertex(vid)
+    inv_self = _neg_inverse(g)[g.index(vid)][g.index(vid)]
     if euler is not None:
-        ext = _extended(g, vid, euler)
-        if not _negative_definite(ext):
+        if not euler < -inv_self:
             raise PreconditionError(
                 f"extension at {vid!r} with Euler number {euler} is not negative definite")
-        return ext
+        return _extended(g, vid, euler)
 
     from . import laufer  # local import: verdict checks live upstream
 
-    def verdicts(k: int):
-        ext = _extended(g, vid, k)
-        if not _negative_definite(ext):
-            return None
-        new_id = ext.ids[-1]
-        mult = laufer.fundamental_cycle(ext).end.coefficient(new_id)
-        return ext, (laufer.laufer_rational(ext), mult == 1)
+    probes = {}  # Euler number -> (extension, (rational, multiplicity one))
 
-    # the extension is negative definite exactly below -1 * the matching
-    # diagonal entry of the inverse form, so the search cannot run forever
-    inv_self = _neg_inverse(g)[g.index(vid)][g.index(vid)]
-    lower_limit = -(math.floor(inv_self) + 12)
-    k = -2
-    while k >= lower_limit:
-        probe = verdicts(k)
-        if probe is not None and probe[1][1]:
-            nxt, nxt2 = verdicts(k - 1), verdicts(k - 2)
-            if nxt is not None and nxt2 is not None and probe[1] == nxt[1] == nxt2[1]:
-                return probe[0]
-        k -= 1
+    def probe(k: int):
+        if k not in probes:
+            ext = _extended(g, vid, k)
+            mult = laufer.fundamental_cycle(ext).end.coefficient(ext.ids[-1])
+            probes[k] = ext, (laufer.laufer_rational(ext), mult == 1)
+        return probes[k]
+
+    first = -math.floor(inv_self) - 1
+    for k in range(min(-2, first), first - 12, -1):
+        ext, verdict = probe(k)
+        if verdict[1] and verdict == probe(k - 1)[1] == probe(k - 2)[1]:
+            return ext
     raise InternalError(f"no stable negative-definite extension found at {vid!r}")

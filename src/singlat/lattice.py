@@ -11,13 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import linalg
 from .cycles import RatCycle, cycle_min
 from .errors import InternalError, PreconditionError
-from .graph import (ResolutionGraph, dual_cycle, intersection_matrix,
-                    lattice_determinant, pairing_vector, require_negative_definite)
+from .graph import (ResolutionGraph, dual_cycle, intersection_matrix, lattice_determinant,
+                    pairing_vector, per_graph, require_negative_definite)
 
 __all__ = ["ClassElement", "ClassGroup", "class_group", "class_of",
            "reduced_rep", "in_lipman_cone", "cycle_min"]
@@ -97,7 +96,7 @@ def _dual_coordinates(cg_graph: ResolutionGraph, cycle: RatCycle) -> list[int]:
     return coords
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def class_group(g: ResolutionGraph) -> ClassGroup:
     """Present the discriminant group by invariant factors.
 

@@ -13,13 +13,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .cycles import RatCycle, cycle_min
 from .errors import InternalError, PreconditionError
 from .graph import (ResolutionGraph, canonical_cycle, chi, intersection_matrix,
-                    pairing_vector, require_negative_definite)
+                    pairing_vector, per_graph, require_negative_definite)
 from .lattice import ClassElement, ClassGroup, reduced_rep
 
 TieBreak = Callable[[tuple[str, ...]], str]
@@ -75,7 +74,7 @@ def _run_sequence(g: ResolutionGraph, start: RatCycle, tie_break: Optional[TieBr
 _BOOTSTRAP_CAP = 1_000_000
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def _fundamental_cycle_default(g: ResolutionGraph) -> ComputationSequence:
     seq = _run_sequence(g, RatCycle.unit(g.ids[0]), None, _BOOTSTRAP_CAP)
     end = seq.end
@@ -114,6 +113,7 @@ def antinef_closure(g: ResolutionGraph, start: RatCycle,
     return _run_sequence(g, start, tie_break, _step_cap(g, start))
 
 
+@per_graph
 def laufer_rational(g: ResolutionGraph) -> bool:
     """Rationality by Artin's criterion (Amer. J. Math. 88, 1966): a tree of
     genus-zero curves with chi(Z_min) = 1.
@@ -208,7 +208,7 @@ class SingularityType:
     warnings: tuple[str, ...]
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def classify_singularity(g: ResolutionGraph) -> SingularityType:
     """Decide the singularity class supported by the lattice data alone.
 

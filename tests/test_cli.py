@@ -186,6 +186,22 @@ def test_box_env(capsys, monkeypatch):
     assert "SINGLAT_BOX" in err
 
 
+def test_box_below_one_is_input_error(capsys, monkeypatch):
+    for argv in (("verify", "--catalog", "A1", "--box", "0"),
+                 ("check", "--catalog", "A1", "--verify", "--box", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: box scale must be a positive integer\n"
+    for value in ("0", "-2"):
+        monkeypatch.setenv("SINGLAT_BOX", value)
+        code, _out, err = run(capsys, "verify", "--catalog", "A1")
+        assert code == 1
+        assert err == "error: box scale must be a positive integer\n"
+    monkeypatch.setenv("SINGLAT_BOX", "0")
+    code, _out, _err = run(capsys, "verify", "--catalog", "A1", "--box", "2")
+    assert code == 0
+
+
 def test_usage_error_is_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])

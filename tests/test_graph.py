@@ -1,14 +1,22 @@
+import ast
+import gc
+import math
+import pathlib
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from singlat import (InputError, PreconditionError, RatCycle, blow_up, canonical_cycle,
-                     catalog, chi, dual_basis, dual_cycle, extend_graph,
-                     intersection_matrix, is_negative_definite, lattice_determinant,
-                     pairing, total_transform)
-from singlat.graph import IntersectionMatrix
+import singlat
+from singlat import (InputError, InternalError, PreconditionError, RatCycle, ResolutionGraph,
+                     Vertex, blow_up, canonical_cycle, catalog, catalog_names, chi, class_group,
+                     classify_singularity, dual_basis, dual_cycle, extend_graph,
+                     fundamental_cycle, intersection_matrix, is_negative_definite,
+                     lattice_determinant, pairing, special_full_sheaves, total_transform)
+from singlat import laufer
+from singlat.graph import IntersectionMatrix, require_negative_definite
 from singlat.laufer import laufer_rational
 
 from conftest import graph
@@ -248,3 +256,127 @@ def test_extended_graph_is_negdef(negdef_corpus):
     for g in negdef_corpus[:6]:
         ext = extend_graph(g, g.ids[0])
         assert is_negative_definite(intersection_matrix(ext))
+
+
+def _glued(g, vid, euler):
+    new_id = g.fresh_id("ext")
+    return ResolutionGraph(g.vertices + (Vertex(new_id, euler, 0),), g.edges + ((vid, new_id),))
+
+
+def reference_extend(g, vid, euler=None):
+    """The extension search decided by a Bareiss pass on every extended
+    graph, probing from -2 down; each Euler number is probed once."""
+    require_negative_definite(g)
+    g.vertex(vid)
+    if euler is not None:
+        ext = _glued(g, vid, euler)
+        if not is_negative_definite(intersection_matrix(ext)):
+            raise PreconditionError(
+                f"extension at {vid!r} with Euler number {euler} is not negative definite")
+        return ext
+    probes = {}
+
+    def verdicts(k):
+        if k not in probes:
+            ext = _glued(g, vid, k)
+            if not is_negative_definite(intersection_matrix(ext)):
+                probes[k] = None
+            else:
+                mult = fundamental_cycle(ext).end.coefficient(ext.ids[-1])
+                probes[k] = ext, (laufer_rational(ext), mult == 1)
+        return probes[k]
+
+    inv_self = dual_cycle(g, vid).coefficient(vid)
+    lower_limit = -(math.floor(inv_self) + 12)
+    k = -2
+    while k >= lower_limit:
+        probe = verdicts(k)
+        if probe is not None and probe[1][1]:
+            nxt, nxt2 = verdicts(k - 1), verdicts(k - 2)
+            if nxt is not None and nxt2 is not None and probe[1] == nxt[1] == nxt2[1]:
+                return probe[0]
+        k -= 1
+    raise InternalError(f"no stable negative-definite extension found at {vid!r}")
+
+
+def _outcome(fn, *args):
+    try:
+        ext = fn(*args)
+    except (PreconditionError, InternalError) as exc:
+        return type(exc), str(exc)
+    return ext.vertices, ext.edges
+
+
+def _extension_graphs(rational_corpus, negdef_corpus):
+    names = [name for name in catalog_names() if "<" not in name]
+    names += ["A1", "A4", "A9", "D4", "D7"]
+    return [catalog(name) for name in names] + rational_corpus + negdef_corpus
+
+
+def test_extend_matches_reference_search(rational_corpus, negdef_corpus):
+    refusals = calls = 0
+    for g in _extension_graphs(rational_corpus, negdef_corpus):
+        for vid in g.ids:
+            for euler in (None, -1, -2, -3, -5):
+                want = _outcome(reference_extend, g, vid, euler)
+                assert _outcome(extend_graph, g, vid, euler) == want, (g, vid, euler)
+                calls += 1
+                refusals += isinstance(want[0], type)
+    assert calls > 2000 and refusals > 0
+
+
+def test_schur_threshold_matches_bareiss(rational_corpus, negdef_corpus):
+    for g in _extension_graphs(rational_corpus, negdef_corpus):
+        for vid in g.ids:
+            inv_self = dual_cycle(g, vid).coefficient(vid)
+            first = -math.floor(inv_self) - 1
+            for k in range(first - 3, first + 4):
+                negdef = is_negative_definite(intersection_matrix(_glued(g, vid, k)))
+                assert (k < -inv_self) == negdef, (g, vid, k)
+
+
+# --- per-graph memo ---
+
+def test_derived_values_die_with_their_graph():
+    g = catalog("paper-z7")
+    classify_singularity(g)
+    class_group(g)
+    special_full_sheaves(g)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_rationality_is_decided_once_per_graph(monkeypatch):
+    g = catalog("A16")
+    calls = []
+    original = laufer.chi
+
+    def counting_chi(graph, cycle):
+        calls.append(graph is g)
+        return original(graph, cycle)
+
+    monkeypatch.setattr(laufer, "chi", counting_chi)
+    assert len(special_full_sheaves(g)) == 16
+    assert sum(calls) == 1
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "functools":
+            yield node.attr
+
+
+def test_no_module_caches_outside_the_graph():
+    """Per-graph values are kept by `graph.per_graph` alone: no module may
+    hold them in a functools cache, which outlives the graphs."""
+    src = pathlib.Path(singlat.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        names = set(_imported_names(ast.parse(path.read_text(), str(path))))
+        assert not names & {"lru_cache", "cache"}, path.name
