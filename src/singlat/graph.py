@@ -32,21 +32,26 @@ class ResolutionGraph:
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[str, str], ...] = ()
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The vertex ids in order and each id's position, built once.
+    _ids: tuple = field(init=False, repr=False, compare=False)
+    _position: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple((str(u), str(v)) for u, v in self.edges))
         if not self.vertices:
             raise InputError("a resolution graph needs at least one vertex")
-        seen = set()
-        for vert in self.vertices:
-            if vert.id in seen:
+        position = {}
+        for i, vert in enumerate(self.vertices):
+            if vert.id in position:
                 raise InputError(f"duplicate vertex id {vert.id!r}")
             if vert.genus < 0:
                 raise InputError(f"vertex {vert.id!r} has negative genus")
-            seen.add(vert.id)
+            position[vert.id] = i
+        object.__setattr__(self, "_ids", tuple(position))
+        object.__setattr__(self, "_position", position)
         for u, v in self.edges:
-            if u not in seen or v not in seen:
+            if u not in position or v not in position:
                 raise InputError(f"edge ({u!r}, {v!r}) references an unknown vertex")
             if u == v:
                 raise InputError(f"loop edge at {u!r}: components are smooth curves")
@@ -54,7 +59,7 @@ class ResolutionGraph:
             raise InputError("graph is not connected")
 
     def _connected(self) -> bool:
-        ids = [v.id for v in self.vertices]
+        ids = self._ids
         adjacency = {vid: set() for vid in ids}
         for u, v in self.edges:
             adjacency[u].add(v)
@@ -81,19 +86,16 @@ class ResolutionGraph:
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.vertices)
+        return self._ids
 
     def vertex(self, vid: str) -> Vertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise InputError(f"unknown vertex id {vid!r}")
+        return self.vertices[self.index(vid)]
 
     def index(self, vid: str) -> int:
-        for i, v in enumerate(self.vertices):
-            if v.id == vid:
-                return i
-        raise InputError(f"unknown vertex id {vid!r}")
+        try:
+            return self._position[vid]
+        except (KeyError, TypeError):  # TypeError: an unhashable id
+            raise InputError(f"unknown vertex id {vid!r}") from None
 
     def degree(self, vid: str) -> int:
         self.vertex(vid)

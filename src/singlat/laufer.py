@@ -9,16 +9,16 @@ only the path varies, and tests exercise randomized policies to confirm it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .cycles import RatCycle, cycle_min
+from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
-from .graph import (ResolutionGraph, canonical_cycle, chi, intersection_matrix,
-                    pairing_vector, per_graph, require_negative_definite)
+from .graph import (ResolutionGraph, adjunction_targets, canonical_cycle, chi,
+                    intersection_matrix, pairing_vector, per_graph,
+                    require_negative_definite)
 from .lattice import ClassElement, ClassGroup, reduced_rep
 
 TieBreak = Callable[[tuple[str, ...]], str]
@@ -158,19 +158,132 @@ def h1_rational(g: ResolutionGraph, chern: RatCycle,
     return sum(int(step.value) - 1 for step in seq.steps)
 
 
-def _integral_cycles_below(bound: RatCycle, ids: tuple[str, ...]):
-    """All integral cycles 0 <= D <= bound, the zero cycle included."""
-    ranges = [range(int(bound.coefficient(vid)) + 1) for vid in ids]
-    for combo in itertools.product(*ranges):
-        yield RatCycle(dict(zip(ids, combo)))
+# Largest grid below Z_min that the exhaustive elliptic-cycle scan walks.
+MAX_ELLIPTIC_GRID = 100_000
+
+
+def _elliptic_grid(g: ResolutionGraph) -> int:
+    """Number of integral cycles 0 <= D <= Z_min, the scan's grid."""
+    z_min = fundamental_cycle(g).end
+    return math.prod(int(z_min.coefficient(vid)) + 1 for vid in g.ids)
+
+
+def _two_chi_grid(g: ResolutionGraph, bound: RatCycle):
+    """Every nonzero integral cycle 0 < D <= bound, in `itertools.product`
+    order over the vertex order, as (coefficients, 2 chi(D)).
+
+    The grid is walked odometer-style and 2 chi(D) = (D, K) - (D, D) is
+    kept up to date through the pairings (D, E_j), so each point costs
+    O(n) integer work. The yielded list is reused by the next point.
+    """
+    rows = intersection_matrix(g).rows
+    nonzero = [[(j, m) for j, m in enumerate(row) if m] for row in rows]
+    targets = adjunction_targets(g)
+    top = [int(bound.coefficient(vid)) for vid in g.ids]
+    coeffs = [0] * len(top)
+    pairings = [0] * len(top)
+    two_chi = 0
+
+    def add(i: int, c: int) -> None:  # D += c E_i
+        nonlocal two_chi
+        two_chi += c * targets[i] - 2 * c * pairings[i] - c * c * rows[i][i]
+        for j, m in nonzero[i]:
+            pairings[j] += c * m
+        coeffs[i] += c
+
+    while True:
+        pos = len(top) - 1
+        while pos >= 0 and coeffs[pos] == top[pos]:
+            add(pos, -coeffs[pos])
+            pos -= 1
+        if pos < 0:
+            return
+        add(pos, 1)
+        yield coeffs, two_chi
+
+
+def _scan_elliptic_cycle(g: ResolutionGraph) -> RatCycle | None:
+    """Coefficient-wise minimum of the nonzero integral cycles below Z_min
+    with chi zero, by walking the whole grid; None when there are none.
+
+    Exponential in the coefficients of Z_min. The minimum must itself have
+    chi zero, and no cycle below it may have chi <= 0.
+    """
+    best = None
+    for coeffs, two_chi in _two_chi_grid(g, fundamental_cycle(g).end):
+        if two_chi == 0:
+            best = list(coeffs) if best is None else [min(a, b) for a, b in zip(best, coeffs)]
+    if best is None:
+        return None
+    candidate = RatCycle(dict(zip(g.ids, best)))
+    if not candidate or chi(g, candidate) != 0:
+        raise InternalError("chi-zero witnesses have no minimum below the fundamental cycle")
+    for coeffs, two_chi in _two_chi_grid(g, candidate):
+        if two_chi <= 0 and coeffs != best:
+            d = RatCycle(dict(zip(g.ids, coeffs)))
+            raise InternalError(f"cycle {d} below the elliptic cycle has chi {chi(g, d)} <= 0")
+    return candidate
+
+
+def _components(g: ResolutionGraph, keep: list[str]) -> list[ResolutionGraph]:
+    """The connected components of the subgraph on the given vertices."""
+    neighbours: dict[str, list[str]] = {vid: [] for vid in keep}
+    for u, v in g.edges:
+        if u in neighbours and v in neighbours:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+    parts, seen = [], set()
+    for vid in keep:
+        if vid in seen:
+            continue
+        reached, frontier = {vid}, [vid]
+        while frontier:
+            for nb in neighbours[frontier.pop()]:
+                if nb not in reached:
+                    reached.add(nb)
+                    frontier.append(nb)
+        seen |= reached
+        parts.append(ResolutionGraph(
+            tuple(vert for vert in g.vertices if vert.id in reached),
+            tuple((u, v) for u, v in g.edges if u in reached and v in reached)))
+    return parts
+
+
+def _laufer_elliptic_cycle(g: ResolutionGraph) -> RatCycle:
+    """Laufer's characterization (Amer. J. Math. 99, 1977) on an elliptic
+    graph: the support of the minimally elliptic cycle is the unique
+    minimal non-rational connected subgraph, and on a minimal resolution
+    the cycle is that subgraph's fundamental cycle.
+
+    A connected subgraph is non-rational exactly when it contains the
+    support, so dropping each vertex in turn and keeping the non-rational
+    component whenever one is left ends on the support: O(n) rationality
+    tests on subgraphs and one fundamental cycle.
+    """
+    core = g
+    for vid in g.ids:
+        if vid not in core.ids:
+            continue
+        rest = [other for other in core.ids if other != vid]
+        core = next((part for part in _components(core, rest)
+                     if not laufer_rational(part)), core)
+    cycle = fundamental_cycle(core).end
+    if chi(g, cycle) != 0 or not cycle <= fundamental_cycle(g).end:
+        raise InternalError(
+            f"fundamental cycle {cycle} of the minimal non-rational subgraph is not "
+            "a chi-zero cycle below the fundamental cycle")
+    return cycle
 
 
 def minimally_elliptic_cycle(g: ResolutionGraph) -> RatCycle | None:
     """The unique minimal nonzero effective integral cycle with chi zero.
 
-    Searched below the fundamental cycle, which is itself a witness on an
-    elliptic graph; absence below that bound is reported, never silently
-    widened away.
+    On a minimal resolution this is the fundamental cycle of the minimal
+    non-rational subgraph (Laufer). Elsewhere that can fail, and the cycle
+    is searched below the fundamental cycle, which is itself a witness on
+    an elliptic graph; absence below that bound is reported, never
+    silently widened away, and a grid above MAX_ELLIPTIC_GRID points is
+    refused.
     """
     require_negative_definite(g)
     if laufer_rational(g):
@@ -178,19 +291,14 @@ def minimally_elliptic_cycle(g: ResolutionGraph) -> RatCycle | None:
     z_min = fundamental_cycle(g).end
     if chi(g, z_min) != 0:
         raise PreconditionError("graph is not elliptic: chi of the fundamental cycle is nonzero")
-    witnesses = [d for d in _integral_cycles_below(z_min, g.ids) if d and chi(g, d) == 0]
-    if not witnesses:
-        return None
-    candidate = witnesses[0]
-    for w in witnesses[1:]:
-        candidate = cycle_min(candidate, w)
-    if candidate not in witnesses:
-        raise InternalError("chi-zero witnesses have no minimum below the fundamental cycle")
-    for d in _integral_cycles_below(candidate, g.ids):
-        if d and d != candidate and chi(g, d) <= 0:
-            raise InternalError(
-                f"cycle {d} below the elliptic cycle has chi {chi(g, d)} <= 0")
-    return candidate
+    if g.is_minimal_resolution:
+        return _laufer_elliptic_cycle(g)
+    grid = _elliptic_grid(g)
+    if grid > MAX_ELLIPTIC_GRID:
+        raise PreconditionError(
+            f"the elliptic cycle search below the fundamental cycle has {grid} points; "
+            f"it is refused above {MAX_ELLIPTIC_GRID}")
+    return _scan_elliptic_cycle(g)
 
 
 @dataclass(frozen=True)
@@ -219,8 +327,9 @@ def classify_singularity(g: ResolutionGraph) -> SingularityType:
     integral canonical cycle equal to the elliptic cycle, plus equality
     with the fundamental cycle on minimal resolutions; on non-minimal
     resolutions the verdict is kept but flagged, since the defining
-    equality only holds after blowing down. Cusps are minimal cycle-shaped
-    graphs of genus-zero curves.
+    equality only holds after blowing down, and it is withheld when the
+    elliptic cycle's grid scan there exceeds MAX_ELLIPTIC_GRID points.
+    Cusps are minimal cycle-shaped graphs of genus-zero curves.
     """
     require_negative_definite(g)
     warnings: list[str] = []
@@ -236,8 +345,12 @@ def classify_singularity(g: ResolutionGraph) -> SingularityType:
     minimally_elliptic = False
     support_all: bool | None = None
     if elliptic:
-        cycle = minimally_elliptic_cycle(g)
-        if cycle is None:
+        grid = 0 if minimal else _elliptic_grid(g)
+        if grid > MAX_ELLIPTIC_GRID:
+            warnings.append(f"elliptic cycle search needs {grid} points below the "
+                            f"fundamental cycle, over the budget of {MAX_ELLIPTIC_GRID}; "
+                            "minimally elliptic verdict withheld")
+        elif (cycle := minimally_elliptic_cycle(g)) is None:
             warnings.append("elliptic graph without a chi-zero cycle below the "
                             "fundamental cycle; minimally elliptic verdict withheld")
         else:

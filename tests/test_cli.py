@@ -240,3 +240,21 @@ def test_class_enumeration_budget(capsys, tmp_path):
     code, out, _ = run(capsys, "invariants", str(path))
     assert code == 0
     assert "order 61305790721611591" in out
+
+
+def test_elliptic_grid_budget(capsys, tmp_path):
+    # an elliptic tree blown up at the edge v0-v1: a 331,776-point grid below
+    # Z_min, too large to scan on a non-minimal resolution
+    eulers = (-5, -3, -2, -2, -3, -2, -7, -7, -2)
+    edges = ((0, 2), (1, 3), (3, 4), (1, 5), (5, 6), (4, 7), (3, 8))
+    path = tmp_path / "blown-up.graph"
+    path.write_text("".join(f"vertex v{i} euler={e}\n" for i, e in enumerate(eulers))
+                    + "vertex new euler=-1\nedge v0 new\nedge v1 new\n"
+                    + "".join(f"edge v{a} v{b}\n" for a, b in edges))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert "type: elliptic" in out
+    assert ("note: elliptic cycle search needs 331776 points below the fundamental "
+            "cycle, over the budget of 100000; minimally elliptic verdict withheld") in out

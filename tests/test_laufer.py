@@ -1,14 +1,20 @@
+import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from singlat import (PreconditionError, RatCycle, antinef_closure, canonical_cycle,
-                     catalog, catalog_names, class_group, class_of, classify_singularity,
+from singlat import (PreconditionError, RatCycle, antinef_closure, blow_up, canonical_cycle,
+                     catalog, catalog_names, chi, class_group, class_of, classify_singularity,
                      dual_basis, extend_graph, fundamental_cycle, h1_rational,
-                     in_lipman_cone, laufer_rational, minimal_antinef_rep,
-                     minimally_elliptic_cycle, reduced_rep)
+                     in_lipman_cone, is_negative_definite, intersection_matrix,
+                     laufer_rational, minimal_antinef_rep, minimally_elliptic_cycle,
+                     reduced_rep)
+from singlat.laufer import (MAX_ELLIPTIC_GRID, _elliptic_grid, _laufer_elliptic_cycle,
+                            _scan_elliptic_cycle, _two_chi_grid)
 
-from conftest import graph, tie_break_policies
+from conftest import CORPUS_SEED, graph, tie_break_policies
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +180,104 @@ def test_elliptic_cycle_gamma():
 def test_elliptic_cycle_rejects_rational(z7):
     with pytest.raises(PreconditionError):
         minimally_elliptic_cycle(z7)
+
+
+def large_elliptic_tree():
+    # Z_min = (2,5,1,5,2,3,1,1,3): a 41,472-point grid below it
+    eulers = (-4, -2, -2, -2, -3, -2, -7, -7, -2)
+    edges = ((0, 1), (0, 2), (1, 3), (3, 4), (1, 5), (5, 6), (4, 7), (3, 8))
+    return graph([(f"v{i}", e) for i, e in enumerate(eulers)],
+                 [(f"v{a}", f"v{b}") for a, b in edges])
+
+
+_ELLIPTIC_EULERS = (-2, -2, -2, -2, -3, -3, -4, -5, -6, -7)
+
+
+def minimal_elliptic_corpus(seed=CORPUS_SEED + 3, max_grid=3000):
+    """Seeded elliptic graphs on 1-9 vertices with Euler numbers -2 to -7,
+    hence minimal resolutions: genus-zero trees, trees with one genus-1
+    vertex, and genus-zero graphs with one edge added to a tree."""
+    rng = random.Random(seed)
+    out = []
+    for genus_one, extra_edge, quota in ((False, False, 160), (True, False, 80),
+                                         (False, True, 80)):
+        found = 0
+        while found < quota:
+            n = rng.randint(1, 9)
+            ids = [f"v{i}" for i in range(n)]
+            genera = [0] * n
+            if genus_one:
+                genera[rng.randrange(n)] = 1
+            edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n)]
+            if extra_edge and n > 1:
+                edges.append(tuple(rng.sample(ids, 2)))
+            g = graph([(vid, rng.choice(_ELLIPTIC_EULERS), genus)
+                       for vid, genus in zip(ids, genera)], edges)
+            if not is_negative_definite(intersection_matrix(g)) or laufer_rational(g):
+                continue
+            if chi(g, fundamental_cycle(g).end) != 0 or _elliptic_grid(g) > max_grid:
+                continue
+            out.append(g)
+            found += 1
+    return out
+
+
+def test_chi_grid_walk_matches_chi():
+    for g in (catalog("gamma-2-3-7"), catalog("cusp-3x3"), catalog("simply-elliptic-d3"),
+              graph([("a", -2), ("b", -3), ("c", -2)], [("a", "b"), ("b", "c")])):
+        bound = fundamental_cycle(g).end + RatCycle.unit(g.ids[0])
+        expected = [c for c in itertools.product(
+            *(range(int(bound.coefficient(vid)) + 1) for vid in g.ids)) if any(c)]
+        walked = [(tuple(c), two_chi) for c, two_chi in _two_chi_grid(g, bound)]
+        assert [c for c, _ in walked] == expected
+        for c, two_chi in walked:
+            assert two_chi == 2 * chi(g, RatCycle(dict(zip(g.ids, c))))
+
+
+def test_laufer_elliptic_cycle_matches_scan():
+    corpus = minimal_elliptic_corpus()
+    assert len(corpus) >= 300
+    assert max(_elliptic_grid(g) for g in corpus) > 2000
+    assert any(g.is_tree and g.all_genus_zero and len(g.ids) == 9 for g in corpus)
+    for g in corpus:
+        assert g.is_minimal_resolution
+        cycle = minimally_elliptic_cycle(g)
+        assert cycle == _laufer_elliptic_cycle(g) == _scan_elliptic_cycle(g), g
+
+
+def test_elliptic_cycle_non_minimal_uses_scan():
+    # Laufer's characterization needs a minimal resolution: on this star
+    # (center -1) the support is every vertex, and its fundamental cycle is
+    # Z_min, not the elliptic cycle
+    g = catalog("gamma-2-3-7")
+    assert not g.is_minimal_resolution
+    assert _laufer_elliptic_cycle(g) == fundamental_cycle(g).end
+    assert _scan_elliptic_cycle(g) != fundamental_cycle(g).end
+    assert minimally_elliptic_cycle(g) == _scan_elliptic_cycle(g)
+
+
+def test_elliptic_cycle_large_tree_time_bound():
+    g = large_elliptic_tree()
+    start = time.perf_counter()
+    st = classify_singularity(g)
+    assert time.perf_counter() - start < 1
+    assert st.kind == "elliptic" and not st.warnings
+    assert minimally_elliptic_cycle(g) == RatCycle(
+        {"v0": 1, "v1": 2, "v3": 2, "v4": 1, "v5": 1, "v8": 1})
+
+
+def test_elliptic_grid_budget():
+    g, _ = blow_up(large_elliptic_tree(), ("v0", "v1"))
+    assert _elliptic_grid(g) == 331_776 > MAX_ELLIPTIC_GRID
+    start = time.perf_counter()
+    st = classify_singularity(g)
+    assert time.perf_counter() - start < 1
+    assert st.kind == "elliptic" and st.elliptic_cycle_support_is_all is None
+    assert st.warnings == (
+        "elliptic cycle search needs 331776 points below the fundamental cycle, over "
+        "the budget of 100000; minimally elliptic verdict withheld",)
+    with pytest.raises(PreconditionError, match="331776 points"):
+        minimally_elliptic_cycle(g)
 
 
 # --- classification ---
