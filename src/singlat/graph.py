@@ -98,8 +98,7 @@ class ResolutionGraph:
             raise InputError(f"unknown vertex id {vid!r}") from None
 
     def degree(self, vid: str) -> int:
-        self.vertex(vid)
-        return sum(1 for u, v in self.edges if vid in (u, v))
+        return _degrees(self)[self.index(vid)]
 
     @property
     def betti1(self) -> int:
@@ -152,13 +151,51 @@ def per_graph(fn):
     return memoised
 
 
+def _derived(vertices, edges, known: dict) -> ResolutionGraph:
+    """A graph built from another one, holding the values already known
+    about it: `known` maps `per_graph` functions to their values on the new
+    graph, which are then never computed."""
+    g = ResolutionGraph(vertices, edges)
+    g._memo.update((fn.__wrapped__, value) for fn, value in known.items())
+    return g
+
+
+@per_graph
+def neighbours(g: ResolutionGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per vertex position, the (position, edge multiplicity) pairs of its
+    neighbours: the nonzero off-diagonal entries of its matrix row."""
+    rows: list[dict[int, int]] = [{} for _ in g.vertices]
+    for u, v in g.edges:
+        i, j = g.index(u), g.index(v)
+        rows[i][j] = rows[i].get(j, 0) + 1
+        rows[j][i] = rows[j].get(i, 0) + 1
+    return tuple(tuple(sorted(row.items())) for row in rows)
+
+
+@per_graph
+def _degrees(g: ResolutionGraph) -> tuple[int, ...]:
+    return tuple(sum(m for _, m in row) for row in neighbours(g))
+
+
+def induced_subgraph(g: ResolutionGraph, keep) -> ResolutionGraph:
+    """The subgraph on the given (connected) set of vertices. Its matrix is
+    a principal submatrix, so it is known negative definite when g is."""
+    return _derived(tuple(vert for vert in g.vertices if vert.id in keep),
+                    tuple((u, v) for u, v in g.edges if u in keep and v in keep),
+                    {_negative_definite: True} if _negative_definite(g) else {})
+
+
 @dataclass(frozen=True)
 class IntersectionMatrix:
     ids: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
+    _position: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_position", {vid: i for i, vid in enumerate(self.ids)})
 
     def entry(self, u: str, v: str) -> int:
-        return self.rows[self.ids.index(u)][self.ids.index(v)]
+        return self.rows[self._position[u]][self._position[v]]
 
     def negated(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(-x for x in row) for row in self.rows)
@@ -212,29 +249,41 @@ def lattice_determinant(g: ResolutionGraph) -> int:
 
 
 def _coefficient_vector(g: ResolutionGraph, cycle: RatCycle) -> list[Fraction]:
-    unknown = [vid for vid in cycle.support if vid not in g.ids]
+    unknown = [vid for vid in cycle.support if vid not in g._position]
     if unknown:
         raise InputError(f"cycle mentions unknown vertex id {unknown[0]!r}")
     return [cycle.coefficient(vid) for vid in g.ids]
 
 
+def integer_vector(vec) -> tuple[list[int], int]:
+    """A vector of rationals times the lcm of its denominators, and that lcm."""
+    scale = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (scale // x.denominator) for x in vec], scale
+
+
+def sparse_pairings(diag, rows, vec: list[int]) -> list[int]:
+    """(D, E_i) at every position i, for the integral cycle D with the given
+    coefficient vector and the form with the given diagonal and `neighbours`
+    rows: O(vertices + edges) integer work."""
+    return [d * x + sum(m * vec[j] for j, m in row) for d, x, row in zip(diag, vec, rows)]
+
+
+def diagonal(g: ResolutionGraph) -> list[int]:
+    return [vert.euler for vert in g.vertices]
+
+
 def pairing(g: ResolutionGraph, a: RatCycle, b: RatCycle) -> Fraction:
     """Intersection pairing extended bilinearly to rational cycles."""
-    va = _coefficient_vector(g, a)
-    vb = _coefficient_vector(g, b)
-    rows = intersection_matrix(g).rows
-    total = Fraction(0)
-    for i, x in enumerate(va):
-        if x:
-            total += x * sum(m * y for m, y in zip(rows[i], vb) if m and y)
-    return total
+    va, scale_a = integer_vector(_coefficient_vector(g, a))
+    vb, scale_b = integer_vector(_coefficient_vector(g, b))
+    pairings = sparse_pairings(diagonal(g), neighbours(g), vb)
+    return Fraction(sum(x * y for x, y in zip(va, pairings) if x), scale_a * scale_b)
 
 
 def pairing_vector(g: ResolutionGraph, cycle: RatCycle) -> list[Fraction]:
     """Pairings of the cycle with every vertex basis element, in order."""
-    vec = _coefficient_vector(g, cycle)
-    rows = intersection_matrix(g).rows
-    return [sum((m * x for m, x in zip(row, vec) if m), Fraction(0)) for row in rows]
+    vec, scale = integer_vector(_coefficient_vector(g, cycle))
+    return [Fraction(p, scale) for p in sparse_pairings(diagonal(g), neighbours(g), vec)]
 
 
 @per_graph
@@ -284,10 +333,10 @@ def chi(g: ResolutionGraph, cycle: RatCycle) -> Fraction:
     Evaluated through the adjunction targets, so no linear solve is needed.
     """
     require_negative_definite(g)
-    vec = _coefficient_vector(g, cycle)
-    targets = adjunction_targets(g)
-    with_k = sum(x * t for x, t in zip(vec, targets))
-    return -(pairing(g, cycle, cycle) - with_k) / 2
+    vec, scale = integer_vector(_coefficient_vector(g, cycle))
+    with_k = sum(x * t for x, t in zip(vec, adjunction_targets(g)))
+    self_pairing = sum(x * p for x, p in zip(vec, sparse_pairings(diagonal(g), neighbours(g), vec)))
+    return Fraction(with_k * scale - self_pairing, 2 * scale * scale)
 
 
 def blow_up(g: ResolutionGraph, locus: Union[str, tuple[str, str]]) -> tuple[ResolutionGraph, BlowUpMap]:
@@ -338,10 +387,10 @@ def total_transform(bmap: BlowUpMap, cycle: RatCycle) -> RatCycle:
     return RatCycle(data)
 
 
-def _extended(g: ResolutionGraph, vid: str, euler: int) -> ResolutionGraph:
+def _extended(g: ResolutionGraph, vid: str, euler: int, known: dict) -> ResolutionGraph:
     new_id = g.fresh_id("ext")
     verts = g.vertices + (Vertex(new_id, euler, 0),)
-    return ResolutionGraph(verts, g.edges + ((vid, new_id),))
+    return _derived(verts, g.edges + ((vid, new_id),), {_negative_definite: True, **known})
 
 
 def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> ResolutionGraph:
@@ -349,31 +398,42 @@ def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> Reso
 
     The extension with Euler number k is negative definite exactly when
     k < -inv_self, inv_self being the vertex's diagonal entry of (-M)^-1 (a
-    Schur complement), so no extended graph is built to decide it. With the
-    Euler number omitted, the search starts at the first negative-definite
-    value at or below -2 and walks down, at most 11 steps past that value,
-    to the first extension in which the new vertex has multiplicity one in
-    the fundamental cycle and whose rationality/multiplicity verdicts agree
-    at the two next-lower values. Each value is probed once per call.
+    Schur complement), so no extended graph is built to decide it and none
+    runs an elimination. With the Euler number omitted, the search starts
+    at the first negative-definite value at or below -2 and walks down, at
+    most 11 steps past that value, to the first extension in which the new
+    vertex has multiplicity one in the fundamental cycle and whose
+    rationality/multiplicity verdicts agree at the two next-lower values.
+    Each value is probed once per call, and each probe's fundamental cycle
+    comes from a computation sequence started at Z_min(g) + E_new: that is
+    at most Z_min of the extension, whose restriction to g is anti-nef on g.
+    The probe keeps only that cycle; its `fundamental_cycle` sequence is
+    still the one from its first vertex.
     """
     require_negative_definite(g)
-    g.vertex(vid)
-    inv_self = _neg_inverse(g)[g.index(vid)][g.index(vid)]
+    position = g.index(vid)
+    inv_self = _neg_inverse(g)[position][position]
     if euler is not None:
         if not euler < -inv_self:
             raise PreconditionError(
                 f"extension at {vid!r} with Euler number {euler} is not negative definite")
-        return _extended(g, vid, euler)
+        return _extended(g, vid, euler, {})
 
     from . import laufer  # local import: verdict checks live upstream
 
+    ids = g.ids + (g.fresh_id("ext"),)
+    start = [int(laufer.z_min_cycle(g).coefficient(v)) for v in g.ids] + [1]
+    rows = list(neighbours(g))
+    rows[position] += ((len(g.ids), 1),)
+    rows = tuple(rows) + (((position, 1),),)
     probes = {}  # Euler number -> (extension, (rational, multiplicity one))
 
     def probe(k: int):
         if k not in probes:
-            ext = _extended(g, vid, k)
-            mult = laufer.fundamental_cycle(ext).end.coefficient(ext.ids[-1])
-            probes[k] = ext, (laufer.laufer_rational(ext), mult == 1)
+            end = laufer.climb_end(diagonal(g) + [k], rows, start)
+            ext = _extended(g, vid, k, {neighbours: rows,
+                                        laufer.z_min_cycle: RatCycle(dict(zip(ids, end)))})
+            probes[k] = ext, (laufer.laufer_rational(ext), end[-1] == 1)
         return probes[k]
 
     first = -math.floor(inv_self) - 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -31,6 +31,10 @@ class Box:
     """Per-vertex nonnegative coefficient bounds for bounded enumeration."""
 
     bounds: tuple[tuple[str, int], ...]
+    _by_vertex: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_vertex", dict(self.bounds))
 
     @classmethod
     def for_graph(cls, g: ResolutionGraph, scale: int = 3) -> "Box":
@@ -38,10 +42,10 @@ class Box:
         return cls(tuple((vid, scale * int(z_min.coefficient(vid))) for vid in g.ids))
 
     def bound(self, vid: str) -> int:
-        for v, b in self.bounds:
-            if v == vid:
-                return b
-        raise InternalError(f"box has no bound for vertex {vid!r}")
+        try:
+            return self._by_vertex[vid]
+        except KeyError:
+            raise InternalError(f"box has no bound for vertex {vid!r}") from None
 
     def contains(self, cycle: RatCycle) -> bool:
         return all(0 <= cycle.coefficient(vid) <= b for vid, b in self.bounds)

@@ -258,3 +258,39 @@ def test_elliptic_grid_budget(capsys, tmp_path):
     assert "type: elliptic" in out
     assert ("note: elliptic cycle search needs 331776 points below the fundamental "
             "cycle, over the budget of 100000; minimally elliptic verdict withheld") in out
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    """Consecutive in-process calls share one parser; no option of one call
+    (format, box, verify) carries over into the next."""
+    from singlat import cli, oracle
+    monkeypatch.delenv("SINGLAT_BOX", raising=False)
+    verified = []
+    verify_all = oracle.verify_all
+    monkeypatch.setattr(oracle, "verify_all",
+                        lambda g, scale: verified.append(scale) or verify_all(g, scale=scale))
+    calls = [
+        ("verify", "--catalog", "A4", "--box", "1"),
+        ("verify", "--catalog", "A4"),
+        ("check", "--catalog", "paper-z7", "--format", "json", "--verify", "--box", "2"),
+        ("check", "--catalog", "paper-z7"),
+        ("sh", "--catalog", "A4", "--format", "json"),
+        ("sh", "--catalog", "A4"),
+        ("invariants", "--catalog", "D4", "--verify"),
+        ("invariants", "--catalog", "D4"),
+    ]
+    shared, parsers = [], set()
+    for argv in calls:
+        shared.append(run(capsys, *argv))
+        parsers.add(id(cli._PARSER))
+    assert len(parsers) == 1 and cli._PARSER is not None
+    shared_verified = list(verified)
+    verified.clear()
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert shared_verified == verified == [1, 3, 2, 3]
+    assert [code for code, _, _ in shared] == [3, 0, 0, 0, 0, 0, 0, 0]
+    assert shared[2][1].startswith("{") and not shared[3][1].startswith("{")

@@ -15,8 +15,9 @@ from singlat import (InputError, InternalError, PreconditionError, RatCycle, Res
                      classify_singularity, dual_basis, dual_cycle, extend_graph,
                      fundamental_cycle, intersection_matrix, is_negative_definite,
                      lattice_determinant, pairing, special_full_sheaves, total_transform)
-from singlat import laufer
-from singlat.graph import IntersectionMatrix, require_negative_definite
+from singlat import graph as graph_module
+from singlat import laufer, linalg
+from singlat.graph import IntersectionMatrix, neighbours, require_negative_definite
 from singlat.laufer import laufer_rational
 
 from conftest import graph
@@ -333,6 +334,70 @@ def test_schur_threshold_matches_bareiss(rational_corpus, negdef_corpus):
             for k in range(first - 3, first + 4):
                 negdef = is_negative_definite(intersection_matrix(_glued(g, vid, k)))
                 assert (k < -inv_self) == negdef, (g, vid, k)
+
+
+def test_warm_probes_match_cold_fundamental_cycles(rational_corpus, negdef_corpus, monkeypatch):
+    graphs = _extension_graphs(rational_corpus, negdef_corpus)
+    for g in graphs:  # the input graphs' own values, computed before counting
+        fundamental_cycle(g)
+        dual_basis(g)
+    probes, cold_runs, bareiss_runs = [], [], []
+    extended, run_sequence = graph_module._extended, laufer._run_sequence
+    is_positive_definite = linalg.is_positive_definite
+    monkeypatch.setattr(graph_module, "_extended",
+                        lambda *args: probes.append(extended(*args)) or probes[-1])
+    monkeypatch.setattr(laufer, "_run_sequence",
+                        lambda *args: cold_runs.append(args[0]) or run_sequence(*args))
+    monkeypatch.setattr(linalg, "is_positive_definite",
+                        lambda m: bareiss_runs.append(m) or is_positive_definite(m))
+    returned = []
+    for g in graphs:
+        for vid in g.ids:
+            try:
+                returned.append(extend_graph(g, vid))
+            except InternalError:
+                pass
+    assert cold_runs == [] and bareiss_runs == []
+    monkeypatch.undo()
+    assert len(probes) > 1500 and len(returned) > 500
+    for ext in probes:
+        fresh = ResolutionGraph(ext.vertices, ext.edges)
+        assert laufer.z_min_cycle(ext) == fundamental_cycle(ext).end, ext
+        assert neighbours(ext) == neighbours(fresh)
+        assert is_negative_definite(intersection_matrix(fresh))
+    for ext in returned:
+        seq = fundamental_cycle(ext)
+        assert seq.start == RatCycle.unit(ext.ids[0])
+        assert seq == fundamental_cycle(ResolutionGraph(ext.vertices, ext.edges))
+
+
+def test_induced_subgraphs_are_known_negative_definite(negdef_corpus, monkeypatch):
+    parts = []
+    for g in negdef_corpus:
+        require_negative_definite(g)
+        for vid in g.ids:
+            parts += laufer._components(g, [other for other in g.ids if other != vid])
+    bareiss_runs = []
+    is_positive_definite = linalg.is_positive_definite
+    monkeypatch.setattr(linalg, "is_positive_definite",
+                        lambda m: bareiss_runs.append(m) or is_positive_definite(m))
+    for part in parts:
+        require_negative_definite(part)
+    assert bareiss_runs == [] and len(parts) > 100
+    for part in parts:
+        assert is_negative_definite(intersection_matrix(part))
+
+
+def test_degrees_and_matrix_entries(z7):
+    m = intersection_matrix(z7)
+    for i, u in enumerate(z7.ids):
+        assert z7.degree(u) == sum(1 for a, b in z7.edges if u in (a, b))
+        for j, v in enumerate(z7.ids):
+            assert m.entry(u, v) == m.rows[i][j]
+    parallel = graph([("a", -3), ("b", -3)], [("a", "b"), ("a", "b")])
+    assert parallel.degree("a") == 2 and parallel.is_cycle_graph
+    with pytest.raises(InputError):
+        z7.degree("nowhere")
 
 
 # --- per-graph memo ---

@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from singlat import (PreconditionError, RatCycle, antinef_closure, blow_up, canonical_cycle,
+from singlat import (InternalError, PreconditionError, RatCycle, antinef_closure, blow_up, canonical_cycle,
                      catalog, catalog_names, chi, class_group, class_of, classify_singularity,
                      dual_basis, extend_graph, fundamental_cycle, h1_rational,
                      in_lipman_cone, is_negative_definite, intersection_matrix,
                      laufer_rational, minimal_antinef_rep, minimally_elliptic_cycle,
                      reduced_rep)
-from singlat.laufer import (MAX_ELLIPTIC_GRID, _elliptic_grid, _laufer_elliptic_cycle,
+from singlat.graph import pairing_vector
+from singlat.laufer import (_BOOTSTRAP_CAP, MAX_ELLIPTIC_GRID, ComputationSequence, LauferStep,
+                            _elliptic_grid, _laufer_elliptic_cycle, _run_sequence,
                             _scan_elliptic_cycle, _two_chi_grid)
 
 from conftest import CORPUS_SEED, graph, tie_break_policies
@@ -381,3 +383,92 @@ def test_rationality_matches_sequence_criterion(rational_corpus, negdef_corpus):
         assert verdict == sequence_rational(g), g
         verdicts.append(verdict)
     assert any(verdicts) and not all(verdicts)
+
+
+# --- the integer kernel against the dense Fraction loop it replaced ---
+
+def reference_run_sequence(g, start, tie_break, cap):
+    """The dense-`Fraction` computation sequence: every step adds the whole
+    matrix row, zeros included, to all n pairings."""
+    rows = intersection_matrix(g).rows
+    ids = g.ids
+    index = {vid: i for i, vid in enumerate(ids)}
+    coeffs = {vid: start.coefficient(vid) for vid in ids}
+    pairings = pairing_vector(g, start)
+    steps = []
+    while True:
+        candidates = tuple(vid for vid, value in zip(ids, pairings) if value > 0)
+        if not candidates:
+            break
+        if tie_break is None:
+            chosen = candidates[0]
+        else:
+            chosen = tie_break(candidates)
+            if chosen not in candidates:
+                raise InternalError(f"tie-break returned {chosen!r}, not a candidate")
+        i = index[chosen]
+        steps.append(LauferStep(chosen, pairings[i]))
+        coeffs[chosen] += 1
+        for j in range(len(ids)):
+            pairings[j] += rows[i][j]
+        if len(steps) > cap:
+            raise InternalError(
+                f"computation sequence exceeded its step cap of {cap}; "
+                "this indicates a broken invariant, not bad input")
+    return ComputationSequence(start, tuple(steps), RatCycle(coeffs))
+
+
+def _kernel_cases(rational_corpus, negdef_corpus):
+    names = [name for name in catalog_names() if "<" not in name] + ["A1", "A9", "D7"]
+    for g in rational_corpus + negdef_corpus + [catalog(name) for name in names]:
+        cg = class_group(g)
+        duals = dual_basis(g)
+        starts = [RatCycle.unit(vid) for vid in g.ids]
+        starts += [reduced_rep(cg, h) for h in cg.elements()]
+        starts += [-duals[vid] for vid in g.ids]
+        yield g, starts
+
+
+def test_kernel_matches_dense_reference(rational_corpus, negdef_corpus):
+    runs = steps = 0
+    for g, starts in _kernel_cases(rational_corpus, negdef_corpus):
+        for start in starts:
+            want = reference_run_sequence(g, start, None, _BOOTSTRAP_CAP)
+            got = _run_sequence(g, start, None, _BOOTSTRAP_CAP)
+            assert got.steps == want.steps and got.end == want.end, (g, start)
+            assert all(type(step.value) is Fraction for step in got.steps)
+            runs += 1
+            steps += len(got)
+    assert runs > 3000 and steps > 8000
+
+
+def test_kernel_matches_dense_reference_under_tie_breaks(rational_corpus, negdef_corpus):
+    def recording(policies, seen):
+        def wrap(policy):
+            def choose(candidates):
+                seen.append(candidates)
+                return policy(candidates)
+            return choose
+        return [wrap(policy) for policy in policies]
+
+    seen_ref, seen_new = [], []
+    ref_policies = recording(tie_break_policies(), seen_ref)
+    new_policies = recording(tie_break_policies(), seen_new)
+    for g, starts in _kernel_cases(rational_corpus, negdef_corpus):
+        for k, start in enumerate(starts):
+            which = k % len(ref_policies)
+            want = reference_run_sequence(g, start, ref_policies[which], _BOOTSTRAP_CAP)
+            got = _run_sequence(g, start, new_policies[which], _BOOTSTRAP_CAP)
+            assert seen_new == seen_ref and got.end == want.end, (g, start)
+            assert got.steps == want.steps
+    assert sum(len(c) > 1 for c in seen_new) > 1000
+
+
+def test_kernel_rejects_a_foreign_tie_break_choice(z7):
+    with pytest.raises(InternalError, match="not a candidate"):
+        fundamental_cycle(z7, tie_break=lambda candidates: "nowhere")
+
+
+def test_scan_without_witness_is_internal_error():
+    with pytest.raises(InternalError, match="no chi-zero cycle"):
+        _scan_elliptic_cycle(catalog("A1"))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from singlat import (PreconditionError, RatCycle, catalog, class_group, class_of,
+from singlat import (InternalError, PreconditionError, RatCycle, catalog, class_group, class_of,
                      dual_basis, fundamental_cycle, verify_all)
 from singlat.oracle import (Box, affordable_chi_box, antinef_points,
                             brute_fundamental_cycle, brute_lipman_min,
@@ -146,3 +146,40 @@ def test_verify_all_enumerates_once(z7, monkeypatch):
     assert len(calls) == 1
     assert tuple(c.name for c in transcript.checks) == VERIFY_CHECKS
     assert transcript.passed, transcript.to_text()
+
+
+def test_extension_stability_recomputes_cold(z7, monkeypatch):
+    """The returned extension knows its Z_min from a warm start; the check
+    still runs the sequence from the extension's first vertex."""
+    from singlat import laufer
+    run_sequence = laufer._run_sequence
+    starts = []
+    monkeypatch.setattr(laufer, "_run_sequence",
+                        lambda g, start, *rest: starts.append((g.ids, start))
+                        or run_sequence(g, start, *rest))
+    transcript = verify_all(z7)
+    assert transcript.passed
+    ext_ids = z7.ids + (z7.fresh_id("ext"),)
+    assert (ext_ids, RatCycle.unit(ext_ids[0])) in starts
+
+
+def test_enumerations_never_run_the_sequence_kernel(z7, monkeypatch):
+    from singlat import laufer
+
+    def forbidden(*args):
+        raise AssertionError("an oracle enumeration ran the sequence kernel")
+
+    boxes = {g: Box.for_graph(g) for g in (z7, catalog("D4"), catalog("cusp-3x3"))}
+    monkeypatch.setattr(laufer, "_climb", forbidden)
+    for g, box in boxes.items():
+        assert antinef_points(g, box)
+        brute_min_chi(g, box)
+        brute_lipman_minima(g, box)
+        assert brute_fundamental_cycle(g, box) is not None
+
+
+def test_box_bound_lookup(z7):
+    box = Box.for_graph(z7, 2)
+    assert [box.bound(vid) for vid in z7.ids] == [b for _, b in box.bounds]
+    with pytest.raises(InternalError, match="no bound"):
+        box.bound("nowhere")
