@@ -8,7 +8,9 @@ only the path varies, and tests exercise randomized policies to confirm it.
 
 Each step costs O(deg) integer work: the pairings are scaled to integers
 once per sequence, the positive vertices sit in a min-heap, and a step
-updates only the chosen vertex and its neighbours.
+updates only the chosen vertex and its neighbours. The minimally elliptic
+cycle is a canonical cycle on a subgraph found by rationality tests, on
+every resolution; no grid of cycles is walked.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from typing import Callable, Optional
 
 from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
-from .graph import (ResolutionGraph, _coefficient_vector, adjunction_targets,
-                    canonical_cycle, chi, diagonal, induced_subgraph, integer_vector,
-                    neighbours, pairing_vector, per_graph,
-                    require_negative_definite, sparse_pairings)
+from .graph import (ResolutionGraph, _coefficient_vector, canonical_cycle, chi,
+                    diagonal, induced_subgraph, integer_vector, neighbours,
+                    pairing_vector, per_graph, require_negative_definite,
+                    sparse_pairings)
 from .lattice import ClassElement, ClassGroup, reduced_rep
 
 TieBreak = Callable[[tuple[str, ...]], str]
@@ -213,74 +215,6 @@ def h1_rational(g: ResolutionGraph, chern: RatCycle,
     return sum(int(step.value) - 1 for step in seq.steps)
 
 
-# Largest grid below Z_min that the exhaustive elliptic-cycle scan walks.
-MAX_ELLIPTIC_GRID = 100_000
-
-
-def _elliptic_grid(g: ResolutionGraph) -> int:
-    """Number of integral cycles 0 <= D <= Z_min, the scan's grid."""
-    z_min = fundamental_cycle(g).end
-    return math.prod(int(z_min.coefficient(vid)) + 1 for vid in g.ids)
-
-
-def _two_chi_grid(g: ResolutionGraph, bound: RatCycle):
-    """Every nonzero integral cycle 0 < D <= bound, in `itertools.product`
-    order over the vertex order, as (coefficients, 2 chi(D)).
-
-    The grid is walked odometer-style and 2 chi(D) = (D, K) - (D, D) is
-    kept up to date through the pairings (D, E_j), so each point costs
-    O(n) integer work. The yielded list is reused by the next point.
-    """
-    diag, rows = diagonal(g), neighbours(g)
-    targets = adjunction_targets(g)
-    top = [int(bound.coefficient(vid)) for vid in g.ids]
-    coeffs = [0] * len(top)
-    pairings = [0] * len(top)
-    two_chi = 0
-
-    def add(i: int, c: int) -> None:  # D += c E_i
-        nonlocal two_chi
-        two_chi += c * targets[i] - 2 * c * pairings[i] - c * c * diag[i]
-        pairings[i] += c * diag[i]
-        for j, m in rows[i]:
-            pairings[j] += c * m
-        coeffs[i] += c
-
-    while True:
-        pos = len(top) - 1
-        while pos >= 0 and coeffs[pos] == top[pos]:
-            add(pos, -coeffs[pos])
-            pos -= 1
-        if pos < 0:
-            return
-        add(pos, 1)
-        yield coeffs, two_chi
-
-
-def _scan_elliptic_cycle(g: ResolutionGraph) -> RatCycle:
-    """Coefficient-wise minimum of the nonzero integral cycles below Z_min
-    with chi zero, by walking the whole grid.
-
-    Exponential in the coefficients of Z_min. Callers require chi(Z_min) =
-    0, so Z_min itself is a witness. The minimum must itself have chi zero,
-    and no cycle below it may have chi <= 0.
-    """
-    best = None
-    for coeffs, two_chi in _two_chi_grid(g, fundamental_cycle(g).end):
-        if two_chi == 0:
-            best = list(coeffs) if best is None else [min(a, b) for a, b in zip(best, coeffs)]
-    if best is None:
-        raise InternalError("no chi-zero cycle below the fundamental cycle, not even itself")
-    candidate = RatCycle(dict(zip(g.ids, best)))
-    if not candidate or chi(g, candidate) != 0:
-        raise InternalError("chi-zero witnesses have no minimum below the fundamental cycle")
-    for coeffs, two_chi in _two_chi_grid(g, candidate):
-        if two_chi <= 0 and coeffs != best:
-            d = RatCycle(dict(zip(g.ids, coeffs)))
-            raise InternalError(f"cycle {d} below the elliptic cycle has chi {chi(g, d)} <= 0")
-    return candidate
-
-
 def _components(g: ResolutionGraph, keep: list[str]) -> list[ResolutionGraph]:
     """The connected components of the subgraph on the given vertices."""
     adjacent: dict[str, list[str]] = {vid: [] for vid in keep}
@@ -303,17 +237,11 @@ def _components(g: ResolutionGraph, keep: list[str]) -> list[ResolutionGraph]:
     return parts
 
 
-def _laufer_elliptic_cycle(g: ResolutionGraph) -> RatCycle:
-    """Laufer's characterization (Amer. J. Math. 99, 1977) on an elliptic
-    graph: the support of the minimally elliptic cycle is the unique
-    minimal non-rational connected subgraph, and on a minimal resolution
-    the cycle is that subgraph's fundamental cycle.
-
-    A connected subgraph is non-rational exactly when it contains the
-    support, so dropping each vertex in turn and keeping the non-rational
-    component whenever one is left ends on the support: O(n) rationality
-    tests on subgraphs and one fundamental cycle.
-    """
+def _minimal_non_rational_subgraph(g: ResolutionGraph) -> ResolutionGraph:
+    """Drop each vertex in turn, keeping only a non-rational connected
+    component of what is left whenever there is one: O(n) rationality tests.
+    On an elliptic graph this ends on the unique minimal non-rational
+    connected subgraph, as every kept subgraph contains it."""
     core = g
     for vid in g.ids:
         if vid not in core.ids:
@@ -321,21 +249,28 @@ def _laufer_elliptic_cycle(g: ResolutionGraph) -> RatCycle:
         rest = [other for other in core.ids if other != vid]
         core = next((part for part in _components(core, rest)
                      if not laufer_rational(part)), core)
-    cycle = fundamental_cycle(core).end
-    if chi(g, cycle) != 0 or not cycle <= fundamental_cycle(g).end:
-        raise InternalError(
-            f"fundamental cycle {cycle} of the minimal non-rational subgraph is not "
-            "a chi-zero cycle below the fundamental cycle")
-    return cycle
+    return core
 
 
 def minimally_elliptic_cycle(g: ResolutionGraph) -> RatCycle:
-    """The unique minimal nonzero effective integral cycle with chi zero.
+    """The minimal nonzero effective cycle E with chi zero on an elliptic
+    graph, minimal resolution or not: the canonical cycle of the unique
+    minimal non-rational connected subgraph S.
 
-    On a minimal resolution this is the fundamental cycle of the minimal
-    non-rational subgraph (Laufer). Elsewhere that can fail, and the cycle
-    is searched below the fundamental cycle, which is itself a witness on
-    an elliptic graph; a grid above MAX_ELLIPTIC_GRID points is refused.
+    supp E = S. A connected subgraph is non-rational iff it carries an
+    effective cycle with chi <= 0 (Artin, Amer. J. Math. 88, 1966); chi >= 0
+    on an elliptic graph (Wagreich, Amer. J. Math. 92, 1970), so iff it
+    carries a chi-zero cycle, and every chi-zero cycle is >= E (Laufer,
+    Amer. J. Math. 99, 1977): iff it contains supp E.
+
+    E = Z_K(S). If E = E_w then chi(E_w) = 1 - g_w = 0, so g_w = 1 and
+    Z_K({w}) = E_w. Otherwise every E - E_v (v in S) is nonzero, effective
+    and below E, so chi(E - E_v) >= 1, and as chi(E) = 0,
+    chi(E - E_v) = (E, E_v) - E_v^2 - 1 + g_v. Summing with weights e_v gives
+    sum e_v chi(E - E_v) = sum e_v (1 - g_v) <= sum e_v, so every
+    chi(E - E_v) = 1 and g_v = 0: (E, E_v) = E_v^2 + 2 - 2 g_v on S.
+
+    The result must be integral, nonzero, of chi zero on g and below Z_min.
     """
     require_negative_definite(g)
     if laufer_rational(g):
@@ -343,14 +278,12 @@ def minimally_elliptic_cycle(g: ResolutionGraph) -> RatCycle:
     z_min = fundamental_cycle(g).end
     if chi(g, z_min) != 0:
         raise PreconditionError("graph is not elliptic: chi of the fundamental cycle is nonzero")
-    if g.is_minimal_resolution:
-        return _laufer_elliptic_cycle(g)
-    grid = _elliptic_grid(g)
-    if grid > MAX_ELLIPTIC_GRID:
-        raise PreconditionError(
-            f"the elliptic cycle search below the fundamental cycle has {grid} points; "
-            f"it is refused above {MAX_ELLIPTIC_GRID}")
-    return _scan_elliptic_cycle(g)
+    cycle = canonical_cycle(_minimal_non_rational_subgraph(g))
+    if not (cycle and cycle.is_integral and chi(g, cycle) == 0 and cycle <= z_min):
+        raise InternalError(
+            f"canonical cycle {cycle} of the minimal non-rational subgraph is not "
+            "a nonzero integral chi-zero cycle below the fundamental cycle")
+    return cycle
 
 
 @dataclass(frozen=True)
@@ -379,8 +312,8 @@ def classify_singularity(g: ResolutionGraph) -> SingularityType:
     integral canonical cycle equal to the elliptic cycle, plus equality
     with the fundamental cycle on minimal resolutions; on non-minimal
     resolutions the verdict is kept but flagged, since the defining
-    equality only holds after blowing down, and it is withheld when the
-    elliptic cycle's grid scan there exceeds MAX_ELLIPTIC_GRID points.
+    equality only holds after blowing down. The elliptic cycle comes from
+    `minimally_elliptic_cycle` on every resolution.
     Cusps are minimal cycle-shaped graphs of genus-zero curves.
     """
     require_negative_definite(g)
@@ -397,23 +330,17 @@ def classify_singularity(g: ResolutionGraph) -> SingularityType:
     minimally_elliptic = False
     support_all: bool | None = None
     if elliptic:
-        grid = 0 if minimal else _elliptic_grid(g)
-        if grid > MAX_ELLIPTIC_GRID:
-            warnings.append(f"elliptic cycle search needs {grid} points below the "
-                            f"fundamental cycle, over the budget of {MAX_ELLIPTIC_GRID}; "
-                            "minimally elliptic verdict withheld")
+        cycle = minimally_elliptic_cycle(g)
+        support_all = set(cycle.support) == set(g.ids)
+        core = gorenstein and cycle == z_k
+        if minimal:
+            minimally_elliptic = core and cycle == z_min
         else:
-            cycle = minimally_elliptic_cycle(g)
-            support_all = set(cycle.support) == set(g.ids)
-            core = gorenstein and cycle == z_k
-            if minimal:
-                minimally_elliptic = core and cycle == z_min
-            else:
-                minimally_elliptic = core
-                if core:
-                    warnings.append(
-                        "non-minimal resolution: minimally elliptic verdict rests on "
-                        "the elliptic cycle matching the canonical cycle only")
+            minimally_elliptic = core
+            if core:
+                warnings.append(
+                    "non-minimal resolution: minimally elliptic verdict rests on "
+                    "the elliptic cycle matching the canonical cycle only")
 
     cusp = cusp_shape and minimal
     if cusp_shape and not minimal:

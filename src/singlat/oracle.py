@@ -11,6 +11,7 @@ computation-sequence machinery they are meant to audit.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -249,8 +250,10 @@ def verify_all(g: ResolutionGraph, scale: int = 3, size_limit: int = 8,
     """Run the cross-module consistency checks at enumeration scale.
 
     Refuses graphs that are not negative definite or are too large for the
-    boxed enumerations. Every check reports pass/fail with a witness in the
-    failure message; the transcript order is fixed.
+    boxed enumerations, and boxes too small to hold a cycle a check audits:
+    the precondition error then names the smallest scale that holds it.
+    Every check reports pass/fail with a witness in the failure message;
+    the transcript order is fixed.
     """
     require_negative_definite(g)
     if len(g.vertices) > size_limit:
@@ -344,9 +347,19 @@ def verify_all(g: ResolutionGraph, scale: int = 3, size_limit: int = 8,
     zero_points = by_class.get(cg.zero(), [])
     minima = _class_minima(by_class)
 
+    def require_in_box(cycle: RatCycle, h: ClassElement) -> None:
+        # a fast-path cycle outside the box cannot be audited by it: that is
+        # a limit of the box, not a disagreement
+        if not box.contains(cycle):
+            needed = max(math.ceil(cycle.coefficient(v) / z_min.coefficient(v)) for v in ids)
+            raise PreconditionError(
+                f"the cycle {cycle} of class {h.coords} lies outside the scale-{scale} "
+                f"box; scale {needed} is the smallest that covers it")
+
     def check_minimal_reps():
         for h in cg.elements():
             rep = minimal_antinef_rep(g, cg, h)
+            require_in_box(rep, h)
             brute = minima.get(h)
             assert brute is not None, f"box missed class {h.coords} entirely"
             assert rep == brute, \
@@ -379,6 +392,7 @@ def verify_all(g: ResolutionGraph, scale: int = 3, size_limit: int = 8,
             starts.append(duals[ids[0]].frac() - RatCycle.unit(ids[1]))
         for start in starts:
             end = antinef_closure(g, start).end
+            require_in_box(end, class_of(cg, start))
             eligible = [p for cls, p in points if p >= start and (p - start).is_integral]
             assert end in eligible, f"closure endpoint of {start} escaped the box"
             best = functools.reduce(cycle_min, eligible)
@@ -432,7 +446,7 @@ def verify_all(g: ResolutionGraph, scale: int = 3, size_limit: int = 8,
         for h in cg.elements():
             rep = minimal_antinef_rep(g, cg, h)
             neg_class = cg.neg(h)
-            end = minima.get(neg_class)
+            end = minima.get(neg_class)  # its minimal cycle is in the box (check_minimal_reps)
             assert end is not None, f"box missed class {neg_class.coords}"
             expected = chi(g, -rep) - chi(g, end)
             got = h1_rational(g, rep)

@@ -244,7 +244,7 @@ def test_class_enumeration_budget(capsys, tmp_path):
 
 def test_elliptic_grid_budget(capsys, tmp_path):
     # an elliptic tree blown up at the edge v0-v1: a 331,776-point grid below
-    # Z_min, too large to scan on a non-minimal resolution
+    # Z_min, which the elliptic cycle's computation never walks
     eulers = (-5, -3, -2, -2, -3, -2, -7, -7, -2)
     edges = ((0, 2), (1, 3), (3, 4), (1, 5), (5, 6), (4, 7), (3, 8))
     path = tmp_path / "blown-up.graph"
@@ -252,12 +252,28 @@ def test_elliptic_grid_budget(capsys, tmp_path):
                     + "vertex new euler=-1\nedge v0 new\nedge v1 new\n"
                     + "".join(f"edge v{a} v{b}\n" for a, b in edges))
     start = time.perf_counter()
-    code, out, _ = run(capsys, "check", str(path))
+    code, out, err = run(capsys, "check", str(path))
     assert time.perf_counter() - start < 1
-    assert code == 0
+    assert (code, err) == (0, "")
     assert "type: elliptic" in out
-    assert ("note: elliptic cycle search needs 331776 points below the fundamental "
-            "cycle, over the budget of 100000; minimally elliptic verdict withheld") in out
+    assert "note:" not in out
+    code, doc, _ = run_json(capsys, "check", str(path))
+    assert code == 0
+    singularity = doc["singularity"]
+    assert singularity["kind"] == "elliptic" and singularity["warnings"] == []
+    assert singularity["elliptic_cycle_support_is_all"] is False
+
+
+def test_verify_box_that_misses_a_cycle_is_a_precondition(capsys):
+    # at scale 1 the box misses the minimal cycle of class (2,): a limit of
+    # the box, named with the scale that covers it, not a failed check
+    for name in ("A4", "paper-z7"):
+        code, out, err = run(capsys, "verify", "--catalog", name, "--box", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("precondition not met: the cycle ")
+        assert "of class (2,) lies outside the scale-1 box; scale 2 is the smallest" in err
+        code, out, _ = run(capsys, "verify", "--catalog", name, "--box", "2")
+        assert code == 0 and out.endswith("PASS  overall\n")
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
@@ -292,5 +308,5 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
         fresh.append(run(capsys, *argv))
     assert shared == fresh
     assert shared_verified == verified == [1, 3, 2, 3]
-    assert [code for code, _, _ in shared] == [3, 0, 0, 0, 0, 0, 0, 0]
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 0, 0]
     assert shared[2][1].startswith("{") and not shared[3][1].startswith("{")

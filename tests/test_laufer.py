@@ -1,20 +1,21 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from singlat import (InternalError, PreconditionError, RatCycle, antinef_closure, blow_up, canonical_cycle,
+from singlat import (InternalError, PreconditionError, RatCycle, ResolutionGraph,
+                     antinef_closure, blow_up, canonical_cycle,
                      catalog, catalog_names, chi, class_group, class_of, classify_singularity,
                      dual_basis, extend_graph, fundamental_cycle, h1_rational,
                      in_lipman_cone, is_negative_definite, intersection_matrix,
                      laufer_rational, minimal_antinef_rep, minimally_elliptic_cycle,
                      reduced_rep)
-from singlat.graph import pairing_vector
-from singlat.laufer import (_BOOTSTRAP_CAP, MAX_ELLIPTIC_GRID, ComputationSequence, LauferStep,
-                            _elliptic_grid, _laufer_elliptic_cycle, _run_sequence,
-                            _scan_elliptic_cycle, _two_chi_grid)
+from singlat.graph import adjunction_targets, diagonal, neighbours, pairing_vector
+from singlat.laufer import (_BOOTSTRAP_CAP, ComputationSequence, LauferStep, _components,
+                            _minimal_non_rational_subgraph, _run_sequence)
 
 from conftest import CORPUS_SEED, graph, tie_break_policies
 
@@ -184,12 +185,75 @@ def test_elliptic_cycle_rejects_rational(z7):
         minimally_elliptic_cycle(z7)
 
 
-def large_elliptic_tree():
-    # Z_min = (2,5,1,5,2,3,1,1,3): a 41,472-point grid below it
-    eulers = (-4, -2, -2, -2, -3, -2, -7, -7, -2)
-    edges = ((0, 1), (0, 2), (1, 3), (3, 4), (1, 5), (5, 6), (4, 7), (3, 8))
-    return graph([(f"v{i}", e) for i, e in enumerate(eulers)],
-                 [(f"v{a}", f"v{b}") for a, b in edges])
+# --- the exhaustive scan, kept as the oracle of the elliptic cycle ---
+
+def _elliptic_grid(g):
+    """Number of integral cycles 0 <= D <= Z_min, the scan's grid."""
+    z_min = fundamental_cycle(g).end
+    return math.prod(int(z_min.coefficient(vid)) + 1 for vid in g.ids)
+
+
+def _two_chi_grid(g: ResolutionGraph, bound: RatCycle):
+    """Every nonzero integral cycle 0 < D <= bound, in `itertools.product`
+    order over the vertex order, as (coefficients, 2 chi(D)).
+
+    The grid is walked odometer-style and 2 chi(D) = (D, K) - (D, D) is
+    kept up to date through the pairings (D, E_j), so each point costs
+    O(n) integer work. The yielded list is reused by the next point.
+    """
+    diag, rows = diagonal(g), neighbours(g)
+    targets = adjunction_targets(g)
+    top = [int(bound.coefficient(vid)) for vid in g.ids]
+    coeffs = [0] * len(top)
+    pairings = [0] * len(top)
+    two_chi = 0
+
+    def add(i: int, c: int) -> None:  # D += c E_i
+        nonlocal two_chi
+        two_chi += c * targets[i] - 2 * c * pairings[i] - c * c * diag[i]
+        pairings[i] += c * diag[i]
+        for j, m in rows[i]:
+            pairings[j] += c * m
+        coeffs[i] += c
+
+    while True:
+        pos = len(top) - 1
+        while pos >= 0 and coeffs[pos] == top[pos]:
+            add(pos, -coeffs[pos])
+            pos -= 1
+        if pos < 0:
+            return
+        add(pos, 1)
+        yield coeffs, two_chi
+
+
+def _scan_elliptic_cycle(g: ResolutionGraph) -> RatCycle:
+    """Coefficient-wise minimum of the nonzero integral cycles below Z_min
+    with chi zero, by walking the whole grid.
+
+    Exponential in the coefficients of Z_min. Callers require chi(Z_min) =
+    0, so Z_min itself is a witness. The minimum must itself have chi zero,
+    and no cycle below it may have chi <= 0.
+    """
+    best = None
+    for coeffs, two_chi in _two_chi_grid(g, fundamental_cycle(g).end):
+        if two_chi == 0:
+            best = list(coeffs) if best is None else [min(a, b) for a, b in zip(best, coeffs)]
+    if best is None:
+        raise InternalError("no chi-zero cycle below the fundamental cycle, not even itself")
+    candidate = RatCycle(dict(zip(g.ids, best)))
+    if not candidate or chi(g, candidate) != 0:
+        raise InternalError("chi-zero witnesses have no minimum below the fundamental cycle")
+    for coeffs, two_chi in _two_chi_grid(g, candidate):
+        if two_chi <= 0 and coeffs != best:
+            d = RatCycle(dict(zip(g.ids, coeffs)))
+            raise InternalError(f"cycle {d} below the elliptic cycle has chi {chi(g, d)} <= 0")
+    return candidate
+
+
+def _is_elliptic(g):
+    return (is_negative_definite(intersection_matrix(g)) and not laufer_rational(g)
+            and chi(g, fundamental_cycle(g).end) == 0)
 
 
 _ELLIPTIC_EULERS = (-2, -2, -2, -2, -3, -3, -4, -5, -6, -7)
@@ -215,13 +279,70 @@ def minimal_elliptic_corpus(seed=CORPUS_SEED + 3, max_grid=3000):
                 edges.append(tuple(rng.sample(ids, 2)))
             g = graph([(vid, rng.choice(_ELLIPTIC_EULERS), genus)
                        for vid, genus in zip(ids, genera)], edges)
-            if not is_negative_definite(intersection_matrix(g)) or laufer_rational(g):
-                continue
-            if chi(g, fundamental_cycle(g).end) != 0 or _elliptic_grid(g) > max_grid:
+            if not _is_elliptic(g) or _elliptic_grid(g) > max_grid:
                 continue
             out.append(g)
             found += 1
     return out
+
+
+_ARMS = ((-2,), (-3,), (-4,), (-5,), (-6,), (-7,), (-2, -2), (-3, -2), (-2, -3), (-7, -2))
+
+
+def non_minimal_elliptic_corpus(minimal, seed=CORPUS_SEED + 4, max_grid=60_000):
+    """Seeded elliptic graphs with a genus-zero (-1)-curve and at most
+    `max_grid` points below Z_min: one- or two-fold blow-ups of the given
+    minimal graphs, three-armed stars with a -1 centre (one arm the chain
+    (-7, -2) in about a third of them), and trees on 2-9 vertices with a
+    (-1)-curve and either genus zero, one genus-1 vertex or one extra edge."""
+    rng = random.Random(seed)
+    blown, stars, trees = [], [], []
+    while len(blown) < 300:
+        g = rng.choice(minimal)
+        for _ in range(rng.randint(1, 2)):
+            g, _bmap = blow_up(g, rng.choice(g.ids + g.edges))
+        if _elliptic_grid(g) <= max_grid:
+            blown.append(g)
+    while len(stars) < 120:
+        arms = [rng.choice(_ARMS) for _ in range(3)]
+        if rng.random() < 0.3:
+            arms[0] = (-7, -2)
+        vertices, edges = [("c", -1)], []
+        for a, arm in enumerate(arms):
+            previous = "c"
+            for k, euler in enumerate(arm):
+                vertices.append((f"a{a}{k}", euler))
+                edges.append((previous, f"a{a}{k}"))
+                previous = f"a{a}{k}"
+        g = graph(vertices, edges)
+        if _is_elliptic(g) and _elliptic_grid(g) <= max_grid:
+            stars.append(g)
+    while len(trees) < 240:
+        n = rng.randint(2, 9)
+        ids = [f"v{i}" for i in range(n)]
+        genera, eulers = [0] * n, [rng.choice(_ELLIPTIC_EULERS) for _ in ids]
+        eulers[rng.randrange(n)] = -1
+        edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n)]
+        kind = rng.randrange(3)
+        if kind == 1:
+            genera[rng.randrange(n)] = 1
+        elif kind == 2 and n > 2:
+            edges.append(tuple(rng.sample(ids, 2)))
+        g = graph(list(zip(ids, eulers, genera)), edges)
+        if g.is_minimal_resolution or not _is_elliptic(g) or _elliptic_grid(g) > max_grid:
+            continue
+        trees.append(g)
+    return blown + stars + trees
+
+
+@pytest.fixture(scope="module")
+def minimal_elliptic():
+    return minimal_elliptic_corpus()
+
+
+@pytest.fixture(scope="module")
+def non_minimal_elliptic(minimal_elliptic):
+    return non_minimal_elliptic_corpus(minimal_elliptic)
 
 
 def test_chi_grid_walk_matches_chi():
@@ -236,26 +357,79 @@ def test_chi_grid_walk_matches_chi():
             assert two_chi == 2 * chi(g, RatCycle(dict(zip(g.ids, c))))
 
 
-def test_laufer_elliptic_cycle_matches_scan():
-    corpus = minimal_elliptic_corpus()
-    assert len(corpus) >= 300
-    assert max(_elliptic_grid(g) for g in corpus) > 2000
-    assert any(g.is_tree and g.all_genus_zero and len(g.ids) == 9 for g in corpus)
-    for g in corpus:
+def test_laufer_elliptic_cycle_matches_scan(minimal_elliptic):
+    assert len(minimal_elliptic) >= 300
+    assert max(_elliptic_grid(g) for g in minimal_elliptic) > 2000
+    assert any(g.is_tree and g.all_genus_zero and len(g.ids) == 9 for g in minimal_elliptic)
+    for g in minimal_elliptic:
         assert g.is_minimal_resolution
+        assert minimally_elliptic_cycle(g) == _scan_elliptic_cycle(g), g
+
+
+def test_elliptic_cycle_matches_scan_on_non_minimal_resolutions(non_minimal_elliptic):
+    assert len(non_minimal_elliptic) >= 600
+    assert max(_elliptic_grid(g) for g in non_minimal_elliptic) > 20_000
+    assert any([(v.id, v.euler) for v in g.vertices[:3]] == [("c", -1), ("a00", -7), ("a01", -2)]
+               for g in non_minimal_elliptic)
+    full = proper = 0
+    for g in non_minimal_elliptic:
+        assert not g.is_minimal_resolution
         cycle = minimally_elliptic_cycle(g)
-        assert cycle == _laufer_elliptic_cycle(g) == _scan_elliptic_cycle(g), g
+        assert cycle == _scan_elliptic_cycle(g), g
+        if set(cycle.support) == set(g.ids):
+            full += 1
+        else:
+            proper += 1
+    assert full and proper
 
 
-def test_elliptic_cycle_non_minimal_uses_scan():
-    # Laufer's characterization needs a minimal resolution: on this star
-    # (center -1) the support is every vertex, and its fundamental cycle is
-    # Z_min, not the elliptic cycle
+def test_elliptic_cycle_non_minimal_is_canonical_not_fundamental():
+    # on this star (centre -1) the support is every vertex, and the
+    # fundamental cycle of the support is Z_min, not the elliptic cycle
     g = catalog("gamma-2-3-7")
     assert not g.is_minimal_resolution
-    assert _laufer_elliptic_cycle(g) == fundamental_cycle(g).end
-    assert _scan_elliptic_cycle(g) != fundamental_cycle(g).end
-    assert minimally_elliptic_cycle(g) == _scan_elliptic_cycle(g)
+    support = _minimal_non_rational_subgraph(g)
+    assert set(support.ids) == set(g.ids)
+    assert fundamental_cycle(support).end == fundamental_cycle(g).end
+    cycle = minimally_elliptic_cycle(g)
+    assert cycle == RatCycle({"c": 2, "a2": 1, "a3": 1, "a7": 1}) == _scan_elliptic_cycle(g)
+    assert cycle != fundamental_cycle(g).end
+
+
+def test_elliptic_cycle_support_is_the_minimal_non_rational_subgraph(
+        minimal_elliptic, non_minimal_elliptic):
+    for g in minimal_elliptic + non_minimal_elliptic:
+        support = _minimal_non_rational_subgraph(g)
+        assert set(minimally_elliptic_cycle(g).support) == set(support.ids), g
+        assert not laufer_rational(support)
+        for vid in support.ids:
+            rest = [other for other in support.ids if other != vid]
+            assert all(laufer_rational(part) for part in _components(support, rest)), (g, vid)
+
+
+def test_elliptic_cycle_is_the_canonical_cycle_of_its_support(
+        minimal_elliptic, non_minimal_elliptic):
+    single = multi = 0
+    for g in minimal_elliptic + non_minimal_elliptic:
+        cycle = minimally_elliptic_cycle(g)
+        if len(cycle.support) == 1:
+            (vid,) = cycle.support
+            assert cycle == RatCycle.unit(vid) and g.vertex(vid).genus == 1, g
+            single += 1
+            continue
+        for vid in cycle.support:
+            assert chi(g, cycle - RatCycle.unit(vid)) == 1, (g, vid)
+            assert g.vertex(vid).genus == 0, (g, vid)
+        multi += 1
+    assert single and multi
+
+
+def large_elliptic_tree():
+    # Z_min = (2,5,1,5,2,3,1,1,3): a 41,472-point grid below it
+    eulers = (-4, -2, -2, -2, -3, -2, -7, -7, -2)
+    edges = ((0, 1), (0, 2), (1, 3), (3, 4), (1, 5), (5, 6), (4, 7), (3, 8))
+    return graph([(f"v{i}", e) for i, e in enumerate(eulers)],
+                 [(f"v{a}", f"v{b}") for a, b in edges])
 
 
 def test_elliptic_cycle_large_tree_time_bound():
@@ -269,17 +443,18 @@ def test_elliptic_cycle_large_tree_time_bound():
 
 
 def test_elliptic_grid_budget():
+    # the blow-up at v0-v1: a 331,776-point grid below Z_min, which only the
+    # scan oracle walks
     g, _ = blow_up(large_elliptic_tree(), ("v0", "v1"))
-    assert _elliptic_grid(g) == 331_776 > MAX_ELLIPTIC_GRID
+    assert _elliptic_grid(g) == 331_776
     start = time.perf_counter()
     st = classify_singularity(g)
+    cycle = minimally_elliptic_cycle(g)
     assert time.perf_counter() - start < 1
-    assert st.kind == "elliptic" and st.elliptic_cycle_support_is_all is None
-    assert st.warnings == (
-        "elliptic cycle search needs 331776 points below the fundamental cycle, over "
-        "the budget of 100000; minimally elliptic verdict withheld",)
-    with pytest.raises(PreconditionError, match="331776 points"):
-        minimally_elliptic_cycle(g)
+    assert st.kind == "elliptic" and not st.warnings
+    assert st.elliptic_cycle_support_is_all is False
+    assert cycle == RatCycle(
+        {"new": 2, "v0": 1, "v1": 2, "v3": 2, "v4": 1, "v5": 1, "v8": 1}) == _scan_elliptic_cycle(g)
 
 
 # --- classification ---

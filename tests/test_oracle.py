@@ -183,3 +183,24 @@ def test_box_bound_lookup(z7):
     assert [box.bound(vid) for vid in z7.ids] == [b for _, b in box.bounds]
     with pytest.raises(InternalError, match="no bound"):
         box.bound("nowhere")
+
+
+def test_cycle_outside_the_box_is_a_precondition_not_a_failure(z7):
+    for g in (catalog("A4"), z7):
+        with pytest.raises(PreconditionError,
+                           match=r"class \(2,\) lies outside the scale-1 box; scale 2 is"):
+            verify_all(g, scale=1)
+        assert verify_all(g, scale=2).passed
+
+
+def test_cycle_inside_the_box_missed_by_the_enumeration_still_fails(z7, monkeypatch):
+    from singlat import oracle
+    cg = class_group(z7)
+    missed = class_of(cg, dual_basis(z7)["E1"])
+    enumerate_points = oracle.antinef_points
+    monkeypatch.setattr(oracle, "antinef_points", lambda g, box: [
+        (cls, point) for cls, point in enumerate_points(g, box) if cls != missed])
+    transcript = verify_all(z7)
+    failed = {c.name: c.detail for c in transcript.checks if not c.passed}
+    assert failed["minimal-cycles-vs-enumeration"] == \
+        f"box missed class {missed.coords} entirely"
