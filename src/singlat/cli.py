@@ -15,9 +15,8 @@ from .classify import (flat_annotation, full_sheaf_classes_min_elliptic,
                        full_sheaf_classes_rational, special_full_sheaves, wunram_table)
 from .cycles import RatCycle
 from .errors import InputError, InternalError, PreconditionError, SinglatError
-from .graph import (ResolutionGraph, blow_up, canonical_cycle, chi, dual_basis,
-                    extend_graph, intersection_matrix, is_negative_definite,
-                    lattice_determinant, total_transform)
+from .graph import (ResolutionGraph, _negative_definite, blow_up, canonical_cycle, chi,
+                    dual_basis, extend_graph, lattice_determinant, total_transform)
 from .lattice import class_group, class_of, reduced_rep
 from .laufer import (antinef_closure, classify_singularity, fundamental_cycle,
                      laufer_rational, minimal_antinef_rep)
@@ -86,7 +85,7 @@ def _maybe_verify(args, g: ResolutionGraph) -> None:
 
 def cmd_check(args) -> int:
     g = _load_graph(args)
-    negdef = is_negative_definite(intersection_matrix(g))
+    negdef = _negative_definite(g)
     payload = {"well_formed": True, "negative_definite": negdef}
     lines = ["well-formed: yes", f"negative definite: {'yes' if negdef else 'no'}"]
     if negdef:

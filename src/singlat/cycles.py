@@ -53,9 +53,6 @@ class RatCycle:
     def is_effective(self) -> bool:
         return all(q > 0 for q in self._coeffs.values())
 
-    def coefficient_sum(self) -> Fraction:
-        return sum(self._coeffs.values(), Fraction(0))
-
     def floor(self) -> "RatCycle":
         """Coefficient-wise integral part."""
         return RatCycle({v: Fraction(q.numerator // q.denominator) for v, q in self._coeffs.items()})

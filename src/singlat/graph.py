@@ -5,6 +5,10 @@ self-intersection (Euler number) and a genus, and parallel edges encode
 multiple intersection points of the corresponding curves. Loops are
 rejected because components are smooth; disconnected input is rejected
 because links are connected.
+
+A graph runs at most one elimination, on [-M | I]: its pivots decide
+definiteness and give det(-M), and adj(-M) = det(-M) (-M)^-1 gives the dual
+cycles, the canonical cycle and the Schur complement of an extension.
 """
 
 from __future__ import annotations
@@ -229,12 +233,23 @@ def intersection_matrix(g: ResolutionGraph) -> IntersectionMatrix:
 
 def is_negative_definite(m: IntersectionMatrix) -> bool:
     """Exact test: all leading principal minors of -M are positive."""
-    return linalg.is_positive_definite(m.negated())
+    pivots, _ = linalg.eliminate(m.negated())
+    return all(p > 0 for p in pivots)
+
+
+@per_graph
+def _elimination(g: ResolutionGraph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The pivots of one Gauss-Jordan pass on [-M | I] and adj(-M). No row
+    swap comes before the first pivot that is not positive, so up to there
+    they are leading minors; the last pivot is det(-M) on every graph."""
+    neg = intersection_matrix(g).negated()
+    pivots, adj = linalg.eliminate(neg, linalg.identity(len(neg)))
+    return tuple(pivots), tuple(map(tuple, adj))
 
 
 @per_graph
 def _negative_definite(g: ResolutionGraph) -> bool:
-    return is_negative_definite(intersection_matrix(g))
+    return all(p > 0 for p in _elimination(g)[0])
 
 
 def require_negative_definite(g: ResolutionGraph) -> None:
@@ -242,10 +257,16 @@ def require_negative_definite(g: ResolutionGraph) -> None:
         raise PreconditionError("intersection form is not negative definite")
 
 
-@per_graph
 def lattice_determinant(g: ResolutionGraph) -> int:
     """det(-M); equals the order of the discriminant group when positive."""
-    return linalg.determinant(intersection_matrix(g).negated())
+    return _elimination(g)[0][-1]
+
+
+def adjugate(g: ResolutionGraph) -> tuple[tuple[int, ...], ...]:
+    """adj(-M) = det(-M) (-M)^-1 of a negative-definite graph: a symmetric
+    integer matrix whose column v is det(-M) times the dual cycle E_v^*."""
+    require_negative_definite(g)
+    return _elimination(g)[1]
 
 
 def _coefficient_vector(g: ResolutionGraph, cycle: RatCycle) -> list[Fraction]:
@@ -286,16 +307,6 @@ def pairing_vector(g: ResolutionGraph, cycle: RatCycle) -> list[Fraction]:
     return [Fraction(p, scale) for p in sparse_pairings(diagonal(g), neighbours(g), vec)]
 
 
-@per_graph
-def _neg_inverse(g: ResolutionGraph) -> tuple[tuple[Fraction, ...], ...]:
-    require_negative_definite(g)
-    try:
-        inv = linalg.invert(intersection_matrix(g).negated())
-    except ValueError as exc:  # pragma: no cover - negative definite => invertible
-        raise InternalError("negative-definite matrix failed to invert") from exc
-    return tuple(tuple(row) for row in inv)
-
-
 def dual_cycle(g: ResolutionGraph, vid: str) -> RatCycle:
     """The rational cycle pairing -1 with the given vertex and 0 with the rest.
 
@@ -303,8 +314,8 @@ def dual_cycle(g: ResolutionGraph, vid: str) -> RatCycle:
     strictly positive on a connected negative-definite graph.
     """
     col = g.index(vid)
-    inv = _neg_inverse(g)
-    return RatCycle({g.ids[i]: inv[i][col] for i in range(len(g.ids))})
+    adj, det = adjugate(g), lattice_determinant(g)
+    return RatCycle({wid: Fraction(row[col], det) for wid, row in zip(g.ids, adj)})
 
 
 def dual_basis(g: ResolutionGraph) -> dict[str, RatCycle]:
@@ -318,13 +329,14 @@ def adjunction_targets(g: ResolutionGraph) -> list[int]:
 
 @per_graph
 def canonical_cycle(g: ResolutionGraph) -> RatCycle:
-    """The unique rational cycle realising the adjunction pairings.
+    """The unique rational cycle realising the adjunction pairings:
+    M K = t, so K = -adj(-M) t / det(-M).
 
     Integrality of the result is the numerically Gorenstein condition.
     """
-    require_negative_definite(g)
-    sol = linalg.solve(intersection_matrix(g).rows, adjunction_targets(g))
-    return RatCycle(dict(zip(g.ids, sol)))
+    adj, det, t = adjugate(g), lattice_determinant(g), adjunction_targets(g)
+    return RatCycle({vid: Fraction(-sum(a * x for a, x in zip(row, t)), det)
+                     for vid, row in zip(g.ids, adj)})
 
 
 def chi(g: ResolutionGraph, cycle: RatCycle) -> Fraction:
@@ -397,12 +409,12 @@ def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> Reso
     """Glue one genus-zero vertex of the given Euler number onto a vertex.
 
     The extension with Euler number k is negative definite exactly when
-    k < -inv_self, inv_self being the vertex's diagonal entry of (-M)^-1 (a
-    Schur complement), so no extended graph is built to decide it and none
-    runs an elimination. With the Euler number omitted, the search starts
-    at the first negative-definite value at or below -2 and walks down, at
-    most 11 steps past that value, to the first extension in which the new
-    vertex has multiplicity one in the fundamental cycle and whose
+    k det(-M) < -adj_v, adj_v / det(-M) being the vertex's diagonal entry of
+    (-M)^-1 (a Schur complement), so no extended graph is built to decide it
+    and none runs an elimination. With the Euler number omitted, the search
+    starts at the first negative-definite value at or below -2 and walks
+    down, at most 11 steps past that value, to the first extension in which
+    the new vertex has multiplicity one in the fundamental cycle and whose
     rationality/multiplicity verdicts agree at the two next-lower values.
     Each value is probed once per call, and each probe's fundamental cycle
     comes from a computation sequence started at Z_min(g) + E_new: that is
@@ -410,11 +422,11 @@ def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> Reso
     The probe keeps only that cycle; its `fundamental_cycle` sequence is
     still the one from its first vertex.
     """
-    require_negative_definite(g)
+    adj, det = adjugate(g), lattice_determinant(g)
     position = g.index(vid)
-    inv_self = _neg_inverse(g)[position][position]
+    adj_self = adj[position][position]
     if euler is not None:
-        if not euler < -inv_self:
+        if not euler * det < -adj_self:
             raise PreconditionError(
                 f"extension at {vid!r} with Euler number {euler} is not negative definite")
         return _extended(g, vid, euler, {})
@@ -436,7 +448,7 @@ def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> Reso
             probes[k] = ext, (laufer.laufer_rational(ext), end[-1] == 1)
         return probes[k]
 
-    first = -math.floor(inv_self) - 1
+    first = -(adj_self // det) - 1
     for k in range(min(-2, first), first - 12, -1):
         ext, verdict = probe(k)
         if verdict[1] and verdict == probe(k - 1)[1] == probe(k - 2)[1]:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .cycles import RatCycle, cycle_min
 from .errors import InternalError, PreconditionError
-from .graph import (ResolutionGraph, dual_cycle, intersection_matrix, lattice_determinant,
+from .graph import (ResolutionGraph, adjugate, intersection_matrix, lattice_determinant,
                     pairing_vector, per_graph, require_negative_definite)
 
 __all__ = ["ClassElement", "ClassGroup", "class_group", "class_of",
@@ -103,28 +104,22 @@ def class_group(g: ResolutionGraph) -> ClassGroup:
     The Smith normal form of -M diagonalises the inclusion of the integral
     lattice into its dual (written in the dual basis); unit factors are
     dropped and each surviving factor receives a generator pulled back
-    through the inverse row transform.
+    through the inverse row transform: sum over v of uinv[v][i] E_v^*, whose
+    numerators over det(-M) are the same combination of rows of adj(-M).
     """
     require_negative_definite(g)
     neg = [list(row) for row in intersection_matrix(g).negated()]
     d, u, uinv, _v = linalg.smith_normal_form(neg)
     det = lattice_determinant(g)
-    product = 1
-    for x in d:
-        product *= x
+    product = math.prod(d)
     if product != det:  # pragma: no cover - cross-check
         raise InternalError(f"smith form product {product} != determinant {det}")
     positions = tuple(i for i, x in enumerate(d) if x != 1)
     factors = tuple(d[i] for i in positions)
-    duals = [dual_cycle(g, vid) for vid in g.ids]
-    generators = []
-    for i in positions:
-        cycle = RatCycle()
-        for row in range(len(d)):
-            if uinv[row][i]:
-                cycle = cycle + uinv[row][i] * duals[row]
-        generators.append(cycle)
-    cg = ClassGroup(g, det, factors, tuple(generators),
+    adj = adjugate(g)
+    generators = tuple(RatCycle({vid: Fraction(sum(r[i] * a[w] for r, a in zip(uinv, adj)), det)
+                                 for w, vid in enumerate(g.ids)}) for i in positions)
+    cg = ClassGroup(g, det, factors, generators,
                     tuple(tuple(row) for row in u), positions)
     for k, gen in enumerate(cg.generators):
         expected = tuple(1 if j == k else 0 for j in range(len(factors)))

@@ -1,8 +1,8 @@
 """Exact linear algebra for small dense matrices.
 
-One fraction-free (Bareiss) elimination gives determinants, the
-definiteness test (its pivots are the leading minors) and exact solves
-(its Gauss-Jordan form leaves the adjugate, divided by det at the end).
+One fraction-free (Bareiss) elimination, `eliminate`, answers every question
+about a square A: its pivots (the leading minors up to the first one that is
+not positive, det(A) last) and, in Gauss-Jordan form on [A | B], adj(A) B.
 The Smith normal form keeps the left transform together with its inverse
 so cokernel coordinates and generator pullbacks stay exact.
 """
@@ -65,15 +65,23 @@ def is_positive_definite(rows) -> bool:
     return all(pivot > 0 for pivot in _bareiss([list(r) for r in rows]))
 
 
+def eliminate(rows, rhs_rows=None) -> tuple[list[int], list[list[int]]]:
+    """The pivots of one Gauss-Jordan Bareiss run on [A | B], A square and
+    integer, and the integer block it leaves: adj(A) B when det(A) != 0."""
+    a = [list(r) + list(b) for r, b in zip(rows, rhs_rows or [()] * len(rows))]
+    pivots = list(_bareiss(a, jordan=True))
+    return pivots, [row[len(a):] for row in a]
+
+
 def _solve_block(rows, rhs_rows) -> list[list[Fraction]]:
     """The exact X with A X = B; rows of A and B may be rational."""
-    a = [list(r) + list(b) for r, b in zip(rows, rhs_rows)]
-    scale = math.lcm(*(x.denominator for row in a for x in row))  # leaves X alone
-    a = [[int(x * scale) for x in row] for row in a]
-    det = [1, *_bareiss(a, jordan=True)][-1]
+    scale = math.lcm(*(x.denominator for row in (*rows, *rhs_rows) for x in row))  # leaves X alone
+    pivots, block = eliminate([[int(x * scale) for x in row] for row in rows],
+                              [[int(x * scale) for x in row] for row in rhs_rows])
+    det = [1, *pivots][-1]
     if det == 0:
         raise ValueError("singular matrix")
-    return [[Fraction(x, det) for x in row[len(a):]] for row in a]
+    return [[Fraction(x, det) for x in row] for row in block]
 
 
 def solve(rows, rhs) -> list[Fraction]:
@@ -124,12 +132,6 @@ def smith_normal_form(rows):
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-
-    def col_negate(j):
-        for r in a:
-            r[j] = -r[j]
-        for r in v:
-            r[j] = -r[j]
 
     def col_add(j, k, q):
         # col_j += q * col_k

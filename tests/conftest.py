@@ -12,7 +12,7 @@ import pytest
 from hypothesis import settings
 
 from singlat import (ResolutionGraph, classify_singularity, intersection_matrix,
-                     is_negative_definite, lattice_determinant)
+                     is_negative_definite, lattice_determinant, linalg)
 from singlat.oracle import Box, grid_size
 
 settings.register_profile("suite", max_examples=50, deadline=None, derandomize=True)
@@ -82,6 +82,13 @@ def rational_corpus():
 @pytest.fixture(scope="session")
 def negdef_corpus():
     return generate_negdef_corpus()
+
+
+def count_eliminations(monkeypatch, runs):
+    """Record the square block of every Bareiss elimination, by any route."""
+    bareiss = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda a, jordan=False: (
+        runs.append([list(row[:len(a)]) for row in a]) or bareiss(a, jordan)))
 
 
 def tie_break_policies(count=10, seed=CORPUS_SEED + 2):

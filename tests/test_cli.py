@@ -3,9 +3,13 @@ import time
 
 import pytest
 
+from singlat import blow_up, dsl, graph
 from singlat.cli import main
 from singlat.dsl import catalog_source
 from singlat.schema import validate
+
+from conftest import count_eliminations
+from test_laufer import large_elliptic_tree
 
 
 def run(capsys, *argv):
@@ -310,3 +314,24 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     assert shared_verified == verified == [1, 3, 2, 3]
     assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 0, 0]
     assert shared[2][1].startswith("{") and not shared[3][1].startswith("{")
+
+
+def test_one_elimination_per_input_graph(capsys, tmp_path, monkeypatch):
+    rational = [dsl.catalog(name) for name in ("A4", "D5", "E6", "E8", "paper-z7")]
+    elliptic = [dsl.catalog(name) for name in ("cusp-3x3", "gamma-2-3-7", "simply-elliptic-d3")]
+    elliptic += [large_elliptic_tree(), blow_up(large_elliptic_tree(), ("v0", "v1"))[0],
+                 blow_up(dsl.catalog("cusp-3x3"), ("E1", "E2"))[0]]
+    cases = [(cmd, g) for cmd in ("invariants", "sh", "classify", "special") for g in rational]
+    cases += [("check", g) for g in elliptic]
+    runs = []
+    count_eliminations(monkeypatch, runs)
+    for k, (cmd, g) in enumerate(cases):
+        path = tmp_path / f"g{k}.graph"
+        path.write_text(dsl.serialize(dsl.GraphDocument(None, g.vertices, g.edges)))
+        m = graph.intersection_matrix(g)
+        forms = ([list(row) for row in m.rows], [list(row) for row in m.negated()])
+        for fmt in ("text", "json"):
+            runs.clear()
+            code, _, err = run(capsys, cmd, str(path), "--format", fmt)
+            assert code == 0, err
+            assert sum(map(runs.count, forms)) == 1, (cmd, g, fmt, runs)

@@ -2,6 +2,7 @@ import ast
 import gc
 import math
 import pathlib
+import random
 import weakref
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from singlat import laufer, linalg
 from singlat.graph import IntersectionMatrix, neighbours, require_negative_definite
 from singlat.laufer import laufer_rational
 
-from conftest import graph
+from conftest import CORPUS_SEED, count_eliminations, graph
 
 
 @pytest.fixture(scope="module")
@@ -343,13 +344,11 @@ def test_warm_probes_match_cold_fundamental_cycles(rational_corpus, negdef_corpu
         dual_basis(g)
     probes, cold_runs, bareiss_runs = [], [], []
     extended, run_sequence = graph_module._extended, laufer._run_sequence
-    is_positive_definite = linalg.is_positive_definite
     monkeypatch.setattr(graph_module, "_extended",
                         lambda *args: probes.append(extended(*args)) or probes[-1])
     monkeypatch.setattr(laufer, "_run_sequence",
                         lambda *args: cold_runs.append(args[0]) or run_sequence(*args))
-    monkeypatch.setattr(linalg, "is_positive_definite",
-                        lambda m: bareiss_runs.append(m) or is_positive_definite(m))
+    count_eliminations(monkeypatch, bareiss_runs)
     returned = []
     for g in graphs:
         for vid in g.ids:
@@ -378,14 +377,61 @@ def test_induced_subgraphs_are_known_negative_definite(negdef_corpus, monkeypatc
         for vid in g.ids:
             parts += laufer._components(g, [other for other in g.ids if other != vid])
     bareiss_runs = []
-    is_positive_definite = linalg.is_positive_definite
-    monkeypatch.setattr(linalg, "is_positive_definite",
-                        lambda m: bareiss_runs.append(m) or is_positive_definite(m))
+    count_eliminations(monkeypatch, bareiss_runs)
     for part in parts:
         require_negative_definite(part)
     assert bareiss_runs == [] and len(parts) > 100
     for part in parts:
         assert is_negative_definite(intersection_matrix(part))
+
+
+def _seeded_graphs_of_every_sign(seed=CORPUS_SEED + 7, count=300):
+    """Random trees and graphs with cycles whose Euler numbers reach +1, so
+    that indefinite and singular forms are common, plus the affine A~_n (a
+    cycle of -2 curves, det(-M) = 0)."""
+    rng = random.Random(seed)
+    out = [graph([(f"c{i}", -2) for i in range(n)],
+                 [(f"c{i}", f"c{(i + 1) % n}") for i in range(n)]) for n in range(2, 9)]
+    while len(out) < count:
+        n = rng.randint(1, 6)
+        vertices = [(f"v{i}", rng.choice((-4, -3, -2, -2, -2, -1, 0, 1)), rng.choice((0, 0, 0, 1)))
+                    for i in range(n)]
+        edges = [(f"v{rng.randrange(i)}", f"v{i}") for i in range(1, n)]
+        if n > 1 and rng.random() < 0.3:
+            u, v = rng.sample(range(n), 2)
+            edges.append((f"v{u}", f"v{v}"))
+        out.append(graph(vertices, edges))
+    return out
+
+
+def test_one_elimination_matches_the_dense_references(rational_corpus, negdef_corpus):
+    named = [catalog(name) for name in catalog_names() if "<" not in name]
+    named += [catalog(f"A{n}") for n in range(1, 20)] + [catalog(f"D{n}") for n in range(4, 20)]
+    kinds = {"negdef": 0, "indefinite": 0, "singular": 0}
+    for g in [*rational_corpus, *negdef_corpus, *named, *_seeded_graphs_of_every_sign()]:
+        neg = intersection_matrix(g).negated()
+        pivots, adj = graph_module._elimination(g)
+        det = linalg.determinant(neg)
+        negdef = linalg.is_positive_definite(neg)
+        assert graph_module._negative_definite(g) == negdef == \
+            is_negative_definite(intersection_matrix(g)), g
+        assert lattice_determinant(g) == pivots[-1] == det, g
+        if det:
+            inverse = linalg.invert(neg)
+            assert [[Fraction(x, det) for x in row] for row in adj] == inverse, g
+        if negdef:
+            for col, vid in enumerate(g.ids):
+                assert dual_cycle(g, vid) == RatCycle(
+                    {wid: row[col] for wid, row in zip(g.ids, inverse)}), (g, vid)
+            targets = [v.euler + 2 - 2 * v.genus for v in g.vertices]
+            assert canonical_cycle(g) == RatCycle(
+                dict(zip(g.ids, linalg.solve(intersection_matrix(g).rows, targets)))), g
+        else:
+            for read in (lambda: dual_cycle(g, g.ids[0]), lambda: canonical_cycle(g)):
+                with pytest.raises(PreconditionError):
+                    read()
+        kinds["negdef" if negdef else "singular" if det == 0 else "indefinite"] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_degrees_and_matrix_entries(z7):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from singlat.linalg import (determinant, identity, invert, is_positive_definite,
+from singlat.linalg import (determinant, eliminate, identity, invert, is_positive_definite,
                             mat_mul, smith_normal_form, solve)
 
 
@@ -130,3 +130,20 @@ def test_invert_and_solve(a, b):
     scaled = [[Fraction(v, i + 1) for v in row] for i, row in enumerate(a)]
     assert mat_mul(scaled, invert(scaled)) == identity(n)
     assert solve(scaled, [Fraction(v, i + 1) for i, v in enumerate(b)]) == x
+
+
+@given(symmetric_matrices, st.lists(st.integers(min_value=-9, max_value=9), min_size=5, max_size=5))
+@example([[0, 1], [1, 0]], [1, 2, 0, 0, 0])
+def test_eliminate_matches_invert_and_solve(a, b):
+    n = len(a)
+    b = b[:n]
+    pivots, adj = eliminate(a, identity(n))
+    assert eliminate(a)[0] == pivots
+    assert pivots[-1] == determinant(a)
+    assert all(p > 0 for p in pivots) == leading_minors_positive(a) == is_positive_definite(a)
+    det = pivots[-1]
+    if det == 0:
+        return
+    assert [[Fraction(x, det) for x in row] for row in adj] == invert(a)
+    _, block = eliminate(a, [[x] for x in b])
+    assert [Fraction(x, det) for (x,) in block] == solve(a, b)
