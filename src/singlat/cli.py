@@ -63,8 +63,6 @@ def _box_scale(args) -> int:
             scale = int(env)
         except ValueError:
             raise InputError(f"SINGLAT_BOX must be an integer, got {env!r}") from None
-    if scale is not None and scale < 1:
-        raise InputError("box scale must be a positive integer")
     return 3 if scale is None else scale
 
 

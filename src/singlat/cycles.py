@@ -7,8 +7,9 @@ arithmetic is bit-exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 Coefficient = Union[int, Fraction, str]
 

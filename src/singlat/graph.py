@@ -96,10 +96,7 @@ class ResolutionGraph:
         return self.vertices[self.index(vid)]
 
     def index(self, vid: str) -> int:
-        try:
-            return self._position[vid]
-        except (KeyError, TypeError):  # TypeError: an unhashable id
-            raise InputError(f"unknown vertex id {vid!r}") from None
+        return _lookup(self._position, vid)
 
     def degree(self, vid: str) -> int:
         return _degrees(self)[self.index(vid)]
@@ -136,6 +133,13 @@ class ResolutionGraph:
         while f"{base}{k}" in taken:
             k += 1
         return f"{base}{k}"
+
+
+def _lookup(position: dict, vid) -> int:
+    try:
+        return position[vid]
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        raise InputError(f"unknown vertex id {vid!r}") from None
 
 
 def per_graph(fn):
@@ -199,7 +203,7 @@ class IntersectionMatrix:
         object.__setattr__(self, "_position", {vid: i for i, vid in enumerate(self.ids)})
 
     def entry(self, u: str, v: str) -> int:
-        return self.rows[self._position[u]][self._position[v]]
+        return self.rows[_lookup(self._position, u)][_lookup(self._position, v)]
 
     def negated(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(-x for x in row) for row in self.rows)
@@ -305,6 +309,18 @@ def pairing_vector(g: ResolutionGraph, cycle: RatCycle) -> list[Fraction]:
     """Pairings of the cycle with every vertex basis element, in order."""
     vec, scale = integer_vector(_coefficient_vector(g, cycle))
     return [Fraction(p, scale) for p in sparse_pairings(diagonal(g), neighbours(g), vec)]
+
+
+def dual_coordinates(g: ResolutionGraph, cycle: RatCycle, name: str = "cycle") -> list[int]:
+    """-(l, E_v) at every vertex, in integers: the coordinates of a dual-lattice
+    cycle l in the dual basis. A fractional pairing raises, naming its vertex."""
+    vec, scale = integer_vector(_coefficient_vector(g, cycle))
+    pairings = sparse_pairings(diagonal(g), neighbours(g), vec)
+    for vid, p in zip(g.ids, pairings):
+        if p % scale:
+            raise PreconditionError(
+                f"{name} is not in the dual lattice: pairing with {vid} is {Fraction(p, scale)}")
+    return [-(p // scale) for p in pairings]
 
 
 def dual_cycle(g: ResolutionGraph, vid: str) -> RatCycle:

@@ -136,7 +136,7 @@ def document(doc_type: str, payload: dict) -> dict:
     return {"schema": SCHEMA_VERSION, "type": doc_type, **payload}
 
 
-def to_json(obj, graph: ResolutionGraph | None = None, indent: int = 2) -> str:
+def to_json(obj, graph: ResolutionGraph | None = None) -> str:
     """Serialise a supported object as a versioned JSON document."""
     if isinstance(obj, ClassificationReport):
         doc = document("classification", encode_report(obj))

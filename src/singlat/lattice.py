@@ -3,21 +3,22 @@
 The dual lattice is realised inside the rational cycles as those pairing
 integrally with every vertex; its quotient by the integral lattice is a
 finite abelian group presented here in Smith normal form coordinates, which
-keeps class arithmetic polynomial even for large discriminants.
+keeps class arithmetic polynomial even for large discriminants. The class
+map and the reduced representatives run on integer numerators over det(-M).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
 from .cycles import RatCycle, cycle_min
 from .errors import InternalError, PreconditionError
-from .graph import (ResolutionGraph, adjugate, intersection_matrix, lattice_determinant,
-                    pairing_vector, per_graph, require_negative_definite)
+from .graph import (ResolutionGraph, adjugate, dual_coordinates, intersection_matrix,
+                    lattice_determinant, pairing_vector, per_graph, require_negative_definite)
 
 __all__ = ["ClassElement", "ClassGroup", "class_group", "class_of",
            "reduced_rep", "in_lipman_cone", "cycle_min"]
@@ -45,8 +46,9 @@ class ClassGroup:
     order: int
     factors: tuple[int, ...]            # invariant factors > 1, divisibility chain
     generators: tuple[RatCycle, ...]    # one dual-lattice cycle per factor
-    _u_rows: tuple[tuple[int, ...], ...]
-    _factor_positions: tuple[int, ...]
+    _u_rows: tuple[tuple[int, ...], ...]  # the rows of U at the factors
+    # Per generator, its coefficients times det(-M) (= `order`), in vertex order.
+    _numerators: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def zero(self) -> ClassElement:
         return ClassElement((0,) * len(self.factors))
@@ -77,24 +79,7 @@ class ClassGroup:
 
     def element_order(self, a: ClassElement) -> int:
         self.validate(a)
-        order = 1
-        for c, d in zip(a.coords, self.factors):
-            if c:
-                step = d // math.gcd(c, d)
-                order = order * step // math.gcd(order, step)
-        return order
-
-
-def _dual_coordinates(cg_graph: ResolutionGraph, cycle: RatCycle) -> list[int]:
-    """Coordinates of a dual-lattice cycle in the dual basis: -(l, E_v)."""
-    pairings = pairing_vector(cg_graph, cycle)
-    coords = []
-    for vid, value in zip(cg_graph.ids, pairings):
-        if value.denominator != 1:
-            raise PreconditionError(
-                f"cycle is not in the dual lattice: pairing with {vid} is {value}")
-        coords.append(-int(value))
-    return coords
+        return math.lcm(*(d // math.gcd(c, d) for c, d in zip(a.coords, self.factors)))
 
 
 @per_graph
@@ -116,11 +101,10 @@ def class_group(g: ResolutionGraph) -> ClassGroup:
         raise InternalError(f"smith form product {product} != determinant {det}")
     positions = tuple(i for i, x in enumerate(d) if x != 1)
     factors = tuple(d[i] for i in positions)
-    adj = adjugate(g)
-    generators = tuple(RatCycle({vid: Fraction(sum(r[i] * a[w] for r, a in zip(uinv, adj)), det)
-                                 for w, vid in enumerate(g.ids)}) for i in positions)
-    cg = ClassGroup(g, det, factors, generators,
-                    tuple(tuple(row) for row in u), positions)
+    adj = adjugate(g)  # symmetric, so its row w is its column w
+    numerators = tuple(tuple(sum(r[i] * a for r, a in zip(uinv, row)) for row in adj) for i in positions)
+    generators = tuple(RatCycle(zip(g.ids, (Fraction(x, det) for x in num))) for num in numerators)
+    cg = ClassGroup(g, det, factors, generators, tuple(tuple(u[i]) for i in positions), numerators)
     for k, gen in enumerate(cg.generators):
         expected = tuple(1 if j == k else 0 for j in range(len(factors)))
         if class_of(cg, gen).coords != expected:  # pragma: no cover - cross-check
@@ -130,9 +114,9 @@ def class_group(g: ResolutionGraph) -> ClassGroup:
 
 def class_of(cg: ClassGroup, cycle: RatCycle) -> ClassElement:
     """Class of a dual-lattice cycle; raises when a pairing is non-integral."""
-    coords = _dual_coordinates(cg.graph, cycle)
-    transformed = [sum(row[j] * coords[j] for j in range(len(coords))) for row in cg._u_rows]
-    return ClassElement(tuple(transformed[i] % d for i, d in zip(cg._factor_positions, cg.factors)))
+    coords = dual_coordinates(cg.graph, cycle)
+    return ClassElement(tuple(sum(u * c for u, c in zip(row, coords)) % d
+                              for row, d in zip(cg._u_rows, cg.factors)))
 
 
 def reduced_rep(cg: ClassGroup, h: ClassElement) -> RatCycle:
@@ -142,11 +126,9 @@ def reduced_rep(cg: ClassGroup, h: ClassElement) -> RatCycle:
     integral cycle, leaving the fractional parts untouched.
     """
     cg.validate(h)
-    lift = RatCycle()
-    for c, gen in zip(h.coords, cg.generators):
-        if c:
-            lift = lift + c * gen
-    rep = lift.frac()
+    det = cg.order
+    rep = RatCycle((vid, Fraction(sum(c * x for c, x in zip(h.coords, column)) % det, det))
+                   for vid, column in zip(cg.graph.ids, zip(*cg._numerators)))
     if class_of(cg, rep) != h:  # pragma: no cover - cross-check
         raise InternalError("reduced representative landed in the wrong class")
     return rep

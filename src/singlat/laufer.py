@@ -24,9 +24,8 @@ from typing import Callable, Optional
 from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
 from .graph import (ResolutionGraph, _coefficient_vector, canonical_cycle, chi,
-                    diagonal, induced_subgraph, integer_vector, neighbours,
-                    pairing_vector, per_graph, require_negative_definite,
-                    sparse_pairings)
+                    diagonal, dual_coordinates, induced_subgraph, integer_vector,
+                    neighbours, per_graph, require_negative_definite, sparse_pairings)
 from .lattice import ClassElement, ClassGroup, reduced_rep
 
 TieBreak = Callable[[tuple[str, ...]], str]
@@ -206,11 +205,7 @@ def h1_rational(g: ResolutionGraph, chern: RatCycle,
     the negated class. Independent of the vertex choices made."""
     if not laufer_rational(g):
         raise PreconditionError("the h1 sequence formula requires a rational graph")
-    values = pairing_vector(g, chern)
-    for vid, value in zip(g.ids, values):
-        if value.denominator != 1:
-            raise PreconditionError(
-                f"Chern class is not in the dual lattice: pairing with {vid} is {value}")
+    dual_coordinates(g, chern, "Chern class")
     seq = antinef_closure(g, -chern, tie_break)
     return sum(int(step.value) - 1 for step in seq.steps)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cycles import RatCycle, cycle_min
-from .errors import InternalError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .graph import (ResolutionGraph, adjugate, blow_up, canonical_cycle, chi, dual_basis,
                     extend_graph, intersection_matrix, lattice_determinant, pairing,
                     pairing_vector, total_transform, require_negative_definite)
@@ -69,11 +69,17 @@ def grid_size(box: Box) -> int:
     return size
 
 
+def _require_positive_scale(scale: int) -> None:
+    if scale < 1:
+        raise InputError("box scale must be a positive integer")
+
+
 def affordable_chi_box(g: ResolutionGraph, scale: int = 3) -> tuple[Box, int]:
     """Largest scale <= the requested one whose full coefficient grid fits
     CHI_GRID_BUDGET. Exhaustive chi scans walk the whole grid, so unlike the
     anti-nef enumeration they cannot prune; large fundamental cycles force
     a smaller box, which is recorded alongside the result."""
+    _require_positive_scale(scale)
     for s in range(scale, 0, -1):
         box = Box.for_graph(g, s)
         if grid_size(box) <= CHI_GRID_BUDGET:
@@ -249,6 +255,7 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
     Every check reports pass/fail with a witness in the failure message;
     the transcript order is fixed.
     """
+    _require_positive_scale(scale)
     require_negative_definite(g)
     if len(g.vertices) > VERIFY_SIZE_LIMIT:
         raise PreconditionError(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -80,3 +81,9 @@ def test_floor_plus_frac(a):
 def test_mul_rejects_nothing_weird():
     with pytest.raises(ValueError):
         RatCycle({"a": "not-a-number"})
+
+
+def test_accepts_any_mapping_or_pairs():
+    expected = RatCycle({"a": 1, "b": Fraction(1, 2)})
+    assert RatCycle(MappingProxyType({"a": 1, "b": "1/2"})) == expected
+    assert RatCycle([("a", 1), ("b", Fraction(1, 2))]) == expected

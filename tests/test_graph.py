@@ -491,3 +491,13 @@ def test_no_module_caches_outside_the_graph():
     for path in modules:
         names = set(_imported_names(ast.parse(path.read_text(), str(path))))
         assert not names & {"lru_cache", "cache"}, path.name
+
+
+def test_matrix_entry_unknown_id_is_input_error(z7):
+    m = intersection_matrix(z7)
+    for u, v in (("zz", "E1"), ("E1", "zz")):
+        with pytest.raises(InputError) as exc:
+            m.entry(u, v)
+        assert str(exc.value) == "unknown vertex id 'zz'"
+    with pytest.raises(InputError):
+        m.entry(["E1"], "E1")

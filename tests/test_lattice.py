@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from singlat import (PreconditionError, RatCycle, catalog, class_group, class_of,
-                     cycle_min, dual_basis, in_lipman_cone, lattice_determinant,
+from singlat import (PreconditionError, RatCycle, ResolutionGraph, catalog, catalog_names,
+                     class_group, class_of, cycle_min, dual_basis, h1_rational,
+                     in_lipman_cone, intersection_matrix, lattice_determinant, linalg,
                      reduced_rep)
+from singlat import classify, cli, graph as graph_module, lattice, laufer, oracle
+from singlat.graph import pairing_vector
 from singlat.laufer import minimal_antinef_rep
 
 from conftest import graph
@@ -117,3 +120,117 @@ def test_cycle_min_examples(z7):
     for h1, h2 in [(elements[1], elements[3]), (elements[2], elements[5])]:
         m = cycle_min(minimal_antinef_rep(z7, cg, h1), minimal_antinef_rep(z7, cg, h2))
         assert in_lipman_cone(z7, m)
+
+
+# --- the Fraction references: the class map, generators and reduced
+# representatives in rational arithmetic, from the Smith form and the dual
+# basis directly ---
+
+def reference_dual_coordinates(g, cycle):
+    coords = []
+    for vid, value in zip(g.ids, pairing_vector(g, cycle)):
+        if value.denominator != 1:
+            raise PreconditionError(
+                f"cycle is not in the dual lattice: pairing with {vid} is {value}")
+        coords.append(-int(value))
+    return coords
+
+
+class ReferenceClassGroup:
+    def __init__(self, g):
+        neg = [list(row) for row in intersection_matrix(g).negated()]
+        d, self.u, uinv, _v = linalg.smith_normal_form(neg)
+        self.graph = g
+        self.positions = [i for i, x in enumerate(d) if x != 1]
+        self.factors = [d[i] for i in self.positions]
+        duals = dual_basis(g)
+        self.generators = []
+        for i in self.positions:
+            gen = RatCycle()
+            for row, vid in zip(uinv, g.ids):
+                gen = gen + row[i] * duals[vid]
+            self.generators.append(gen)
+
+    def class_of(self, cycle):
+        coords = reference_dual_coordinates(self.graph, cycle)
+        transformed = [sum(row[j] * coords[j] for j in range(len(coords))) for row in self.u]
+        return tuple(transformed[i] % d for i, d in zip(self.positions, self.factors))
+
+    def reduced_rep(self, coords):
+        lift = RatCycle()
+        for c, gen in zip(coords, self.generators):
+            if c:
+                lift = lift + c * gen
+        return lift.frac()
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except PreconditionError as exc:
+        return "refused", str(exc)
+
+
+def reference_graphs(rational_corpus, negdef_corpus):
+    named = [catalog(name) for name in catalog_names() if "<" not in name]
+    named += [catalog(f"A{n}") for n in range(1, 20)] + [catalog(f"D{n}") for n in range(4, 20)]
+    return list(rational_corpus) + list(negdef_corpus) + named
+
+
+def test_integer_class_map_matches_the_fraction_reference(rational_corpus, negdef_corpus):
+    classes = duals_seen = refusals = 0
+    for g in reference_graphs(rational_corpus, negdef_corpus):
+        cg, ref = class_group(g), ReferenceClassGroup(g)
+        assert list(cg.factors) == ref.factors
+        assert list(cg.generators) == ref.generators
+        for h in cg.elements():
+            rep = reduced_rep(cg, h)
+            assert rep == ref.reduced_rep(h.coords)
+            assert class_of(cg, rep).coords == ref.class_of(rep) == h.coords
+            classes += 1
+        for dual in dual_basis(g).values():
+            assert class_of(cg, dual).coords == ref.class_of(dual)
+            duals_seen += 1
+        det = lattice_determinant(g)
+        for vid in g.ids:
+            for cycle in (RatCycle({vid: Fraction(1, 2 * det + 1)}),
+                          dual_basis(g)[vid] + RatCycle({g.ids[-1]: Fraction(1, 2)})):
+                got = outcome(lambda c: class_of(cg, c).coords, cycle)
+                assert got == outcome(ref.class_of, cycle)
+                refusals += got[0] == "refused"
+    assert classes > 3000 and duals_seen > 900 and refusals > 1800
+
+
+def test_class_map_runs_without_rational_cycle_arithmetic(rational_corpus, monkeypatch):
+    graphs = [ResolutionGraph(g.vertices, g.edges) for g in rational_corpus]  # empty memos
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("rational cycle arithmetic on the integer class path")
+
+    for name in ("__add__", "__mul__", "__rmul__", "floor", "frac"):
+        monkeypatch.setattr(RatCycle, name, forbidden)
+    for module in (graph_module, lattice, laufer, oracle, classify, cli):
+        if hasattr(module, "pairing_vector"):
+            monkeypatch.setattr(module, "pairing_vector", forbidden)
+    for g in graphs:
+        cg = class_group(g)
+        for k, gen in enumerate(cg.generators):
+            assert class_of(cg, gen).coords == tuple(int(j == k) for j in range(len(cg.factors)))
+        for h in cg.elements():
+            rep = reduced_rep(cg, h)
+            assert class_of(cg, rep) == h
+            assert h1_rational(g, rep) >= 0
+
+
+def test_non_dual_cycle_messages(z7):
+    cycle = RatCycle({"E1": Fraction(1, 3)})
+    with pytest.raises(PreconditionError) as exc:
+        class_of(class_group(z7), cycle)
+    assert str(exc.value) == "cycle is not in the dual lattice: pairing with E1 is -2/3"
+    with pytest.raises(PreconditionError) as exc:
+        h1_rational(z7, cycle)
+    assert str(exc.value) == "Chern class is not in the dual lattice: pairing with E1 is -2/3"
+    # the first vertex with a fractional pairing is named, not the cycle's support
+    with pytest.raises(PreconditionError) as exc:
+        class_of(class_group(z7), RatCycle({"E2": Fraction(1, 2)}))
+    assert str(exc.value) == "cycle is not in the dual lattice: pairing with E1 is 1/2"

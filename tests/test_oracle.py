@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from singlat import (InternalError, PreconditionError, RatCycle, catalog, class_group, class_of,
-                     dual_basis, fundamental_cycle, verify_all)
+from singlat import (InputError, InternalError, PreconditionError, RatCycle, catalog, class_group,
+                     class_of, dual_basis, fundamental_cycle, verify_all)
 from singlat.oracle import (Box, affordable_chi_box, antinef_points,
                             brute_fundamental_cycle, brute_lipman_min,
                             brute_lipman_minima, brute_min_chi, grid_size)
@@ -204,3 +204,17 @@ def test_cycle_inside_the_box_missed_by_the_enumeration_still_fails(z7, monkeypa
     failed = {c.name: c.detail for c in transcript.checks if not c.passed}
     assert failed["minimal-cycles-vs-enumeration"] == \
         f"box missed class {missed.coords} entirely"
+
+
+def test_box_scale_below_one_is_refused_through_the_api():
+    indefinite = graph([("a", -1), ("b", -1)], [("a", "b")])
+    for scale in (0, -1):
+        # before every other refusal: definiteness, and the size limit (A9)
+        for g in (catalog("A1"), indefinite, catalog("A9")):
+            with pytest.raises(InputError) as exc:
+                verify_all(g, scale=scale)
+            assert str(exc.value) == "box scale must be a positive integer"
+        with pytest.raises(InputError) as exc:
+            affordable_chi_box(catalog("A1"), scale)
+        assert str(exc.value) == "box scale must be a positive integer"
+    assert affordable_chi_box(catalog("A1"), 1)[1] == 1
