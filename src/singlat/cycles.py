@@ -23,7 +23,7 @@ class RatCycle:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         data = {}
         for vid, value in items:
-            q = Fraction(value)
+            q = value if isinstance(value, Fraction) else Fraction(value)
             if q:
                 data[str(vid)] = q
         self._coeffs = data

@@ -102,30 +102,25 @@ def parse(text: str) -> GraphDocument:
             vid = _check_id(toks[1][0], lineno, toks[1][1])
             if vid in ids:
                 raise ParseError(f"duplicate vertex id {vid!r}", lineno, toks[1][1])
-            euler = None
-            genus = 0
+            attrs = {}
             for tok, col in toks[2:]:
                 key, eq, value = tok.partition("=")
                 if not eq:
                     raise ParseError(f"expected key=value, got {tok!r}", lineno, col)
-                if key == "euler":
-                    try:
-                        euler = int(value)
-                    except ValueError:
-                        raise ParseError(f"invalid integer {value!r}", lineno, col) from None
-                elif key == "genus":
-                    try:
-                        genus = int(value)
-                    except ValueError:
-                        raise ParseError(f"invalid integer {value!r}", lineno, col) from None
-                    if genus < 0:
-                        raise ParseError("genus must be nonnegative", lineno, col)
-                else:
+                if key not in ("euler", "genus"):
                     raise ParseError(f"unknown vertex attribute {key!r}", lineno, col)
-            if euler is None:
+                if key in attrs:
+                    raise ParseError(f"repeated vertex attribute {key!r}", lineno, col)
+                try:
+                    attrs[key] = int(value)
+                except ValueError:
+                    raise ParseError(f"invalid integer {value!r}", lineno, col) from None
+                if key == "genus" and attrs[key] < 0:
+                    raise ParseError("genus must be nonnegative", lineno, col)
+            if "euler" not in attrs:
                 raise ParseError(f"vertex {vid!r} is missing euler=<int>", lineno, kcol)
             ids.add(vid)
-            vertices.append(Vertex(vid, euler, genus))
+            vertices.append(Vertex(vid, attrs["euler"], attrs.get("genus", 0)))
         elif keyword == "edge":
             if len(toks) != 3:
                 raise ParseError("expected: edge <id> <id>", lineno, kcol)
@@ -148,19 +143,21 @@ def parse(text: str) -> GraphDocument:
             if basis_tok not in ("E:", "Edual:"):
                 raise ParseError(f"expected basis marker E: or Edual:, got {basis_tok!r}", lineno, bcol)
             basis = basis_tok[:-1]
-            coeffs = []
+            coeffs = {}
             for tok, col in toks[3:]:
                 vid, eq, value = tok.partition("=")
                 if not eq:
                     raise ParseError(f"expected <id>=<coeff>, got {tok!r}", lineno, col)
                 if vid not in ids:
                     raise ParseError(f"unknown vertex id {vid!r}", lineno, col)
+                if vid in coeffs:
+                    raise ParseError(f"vertex {vid!r} repeated in cycle {cname!r}", lineno, col)
                 q = _parse_rational(value, lineno, col)
                 if basis == "Edual" and q.denominator != 1:
                     raise ParseError("dual-basis coefficients must be integers", lineno, col)
-                coeffs.append((vid, q))
+                coeffs[vid] = q
             cycle_names.add(cname)
-            cycles.append(CycleDef(cname, basis, tuple(coeffs)))
+            cycles.append(CycleDef(cname, basis, tuple(coeffs.items())))
         else:
             raise ParseError(f"unknown statement {keyword!r}", lineno, kcol)
 

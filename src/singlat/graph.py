@@ -273,17 +273,15 @@ def adjugate(g: ResolutionGraph) -> tuple[tuple[int, ...], ...]:
     return _elimination(g)[1]
 
 
-def _coefficient_vector(g: ResolutionGraph, cycle: RatCycle) -> list[Fraction]:
+def cycle_vector(g: ResolutionGraph, cycle: RatCycle) -> tuple[list[int], int]:
+    """A cycle's coefficients in vertex order as integer numerators over the
+    lcm of their denominators, and that lcm: where a `RatCycle` becomes integers."""
     unknown = [vid for vid in cycle.support if vid not in g._position]
     if unknown:
         raise InputError(f"cycle mentions unknown vertex id {unknown[0]!r}")
-    return [cycle.coefficient(vid) for vid in g.ids]
-
-
-def integer_vector(vec) -> tuple[list[int], int]:
-    """A vector of rationals times the lcm of its denominators, and that lcm."""
-    scale = math.lcm(*(x.denominator for x in vec))
-    return [x.numerator * (scale // x.denominator) for x in vec], scale
+    coeffs = [cycle.coefficient(vid) for vid in g.ids]
+    scale = math.lcm(*(x.denominator for x in coeffs))
+    return [x.numerator * (scale // x.denominator) for x in coeffs], scale
 
 
 def sparse_pairings(diag, rows, vec: list[int]) -> list[int]:
@@ -299,22 +297,21 @@ def diagonal(g: ResolutionGraph) -> list[int]:
 
 def pairing(g: ResolutionGraph, a: RatCycle, b: RatCycle) -> Fraction:
     """Intersection pairing extended bilinearly to rational cycles."""
-    va, scale_a = integer_vector(_coefficient_vector(g, a))
-    vb, scale_b = integer_vector(_coefficient_vector(g, b))
+    va, scale_a = cycle_vector(g, a)
+    vb, scale_b = cycle_vector(g, b)
     pairings = sparse_pairings(diagonal(g), neighbours(g), vb)
     return Fraction(sum(x * y for x, y in zip(va, pairings) if x), scale_a * scale_b)
 
 
 def pairing_vector(g: ResolutionGraph, cycle: RatCycle) -> list[Fraction]:
     """Pairings of the cycle with every vertex basis element, in order."""
-    vec, scale = integer_vector(_coefficient_vector(g, cycle))
+    vec, scale = cycle_vector(g, cycle)
     return [Fraction(p, scale) for p in sparse_pairings(diagonal(g), neighbours(g), vec)]
 
 
-def dual_coordinates(g: ResolutionGraph, cycle: RatCycle, name: str = "cycle") -> list[int]:
-    """-(l, E_v) at every vertex, in integers: the coordinates of a dual-lattice
-    cycle l in the dual basis. A fractional pairing raises, naming its vertex."""
-    vec, scale = integer_vector(_coefficient_vector(g, cycle))
+def dual_coordinates(g: ResolutionGraph, vec: list[int], scale: int, name: str = "cycle") -> list[int]:
+    """-(l, E_v) at every vertex, in integers: the dual-basis coordinates of
+    the dual-lattice cycle l = vec / scale. A fractional pairing raises, naming its vertex."""
     pairings = sparse_pairings(diagonal(g), neighbours(g), vec)
     for vid, p in zip(g.ids, pairings):
         if p % scale:
@@ -361,7 +358,7 @@ def chi(g: ResolutionGraph, cycle: RatCycle) -> Fraction:
     Evaluated through the adjunction targets, so no linear solve is needed.
     """
     require_negative_definite(g)
-    vec, scale = integer_vector(_coefficient_vector(g, cycle))
+    vec, scale = cycle_vector(g, cycle)
     with_k = sum(x * t for x, t in zip(vec, adjunction_targets(g)))
     self_pairing = sum(x * p for x, p in zip(vec, sparse_pairings(diagonal(g), neighbours(g), vec)))
     return Fraction(with_k * scale - self_pairing, 2 * scale * scale)
@@ -450,7 +447,7 @@ def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> Reso
     from . import laufer  # local import: verdict checks live upstream
 
     ids = g.ids + (g.fresh_id("ext"),)
-    start = [int(laufer.z_min_cycle(g).coefficient(v)) for v in g.ids] + [1]
+    start = cycle_vector(g, laufer.z_min_cycle(g))[0] + [1]
     rows = list(neighbours(g))
     rows[position] += ((len(g.ids), 1),)
     rows = tuple(rows) + (((position, 1),),)
@@ -458,7 +455,7 @@ def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> Reso
 
     def probe(k: int):
         if k not in probes:
-            end = laufer.climb_end(diagonal(g) + [k], rows, start)
+            end = laufer._climb(diagonal(g) + [k], rows, start, 1, None, laufer._BOOTSTRAP_CAP)[1]
             ext = _extended(g, vid, k, {neighbours: rows,
                                         laufer.z_min_cycle: RatCycle(dict(zip(ids, end)))})
             probes[k] = ext, (laufer.laufer_rational(ext), end[-1] == 1)

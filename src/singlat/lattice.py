@@ -17,11 +17,11 @@ from fractions import Fraction
 from . import linalg
 from .cycles import RatCycle, cycle_min
 from .errors import InternalError, PreconditionError
-from .graph import (ResolutionGraph, adjugate, dual_coordinates, intersection_matrix,
+from .graph import (ResolutionGraph, adjugate, cycle_vector, dual_coordinates, intersection_matrix,
                     lattice_determinant, pairing_vector, per_graph, require_negative_definite)
 
 __all__ = ["ClassElement", "ClassGroup", "class_group", "class_of",
-           "reduced_rep", "in_lipman_cone", "cycle_min"]
+           "reduced_numerators", "reduced_rep", "in_lipman_cone", "cycle_min"]
 
 # Most classes `ClassGroup.elements()` walks; every caller does work per class.
 MAX_ENUMERATED_CLASSES = 100_000
@@ -105,33 +105,44 @@ def class_group(g: ResolutionGraph) -> ClassGroup:
     numerators = tuple(tuple(sum(r[i] * a for r, a in zip(uinv, row)) for row in adj) for i in positions)
     generators = tuple(RatCycle(zip(g.ids, (Fraction(x, det) for x in num))) for num in numerators)
     cg = ClassGroup(g, det, factors, generators, tuple(tuple(u[i]) for i in positions), numerators)
-    for k, gen in enumerate(cg.generators):
+    for k, num in enumerate(numerators):
         expected = tuple(1 if j == k else 0 for j in range(len(factors)))
-        if class_of(cg, gen).coords != expected:  # pragma: no cover - cross-check
+        if _class_of(cg, num, det).coords != expected:  # pragma: no cover - cross-check
             raise InternalError("class group generator does not map to a unit coordinate")
     return cg
 
 
-def class_of(cg: ClassGroup, cycle: RatCycle) -> ClassElement:
-    """Class of a dual-lattice cycle; raises when a pairing is non-integral."""
-    coords = dual_coordinates(cg.graph, cycle)
+def _class_of(cg: ClassGroup, vec, scale: int) -> ClassElement:
+    """Class of the dual-lattice cycle with numerators `vec` over `scale`."""
+    coords = dual_coordinates(cg.graph, vec, scale)
     return ClassElement(tuple(sum(u * c for u, c in zip(row, coords)) % d
                               for row, d in zip(cg._u_rows, cg.factors)))
 
 
-def reduced_rep(cg: ClassGroup, h: ClassElement) -> RatCycle:
-    """The representative of a class with all coefficients in [0, 1).
+def class_of(cg: ClassGroup, cycle: RatCycle) -> ClassElement:
+    """Class of a dual-lattice cycle; raises when a pairing is non-integral."""
+    return _class_of(cg, *cycle_vector(cg.graph, cycle))
+
+
+def reduced_numerators(cg: ClassGroup, h: ClassElement) -> list[int]:
+    """The numerators over det(-M) of the representative of a class with all
+    coefficients in [0, 1), in vertex order.
 
     Independent of the chosen lift: any two representatives differ by an
     integral cycle, leaving the fractional parts untouched.
     """
     cg.validate(h)
     det = cg.order
-    rep = RatCycle((vid, Fraction(sum(c * x for c, x in zip(h.coords, column)) % det, det))
-                   for vid, column in zip(cg.graph.ids, zip(*cg._numerators)))
-    if class_of(cg, rep) != h:  # pragma: no cover - cross-check
+    vec = [sum(c * num[i] for c, num in zip(h.coords, cg._numerators)) % det
+           for i in range(len(cg.graph.ids))]
+    if _class_of(cg, vec, det) != h:  # pragma: no cover - cross-check
         raise InternalError("reduced representative landed in the wrong class")
-    return rep
+    return vec
+
+
+def reduced_rep(cg: ClassGroup, h: ClassElement) -> RatCycle:
+    """The representative of a class with all coefficients in [0, 1)."""
+    return RatCycle(zip(cg.graph.ids, (Fraction(x, cg.order) for x in reduced_numerators(cg, h))))
 
 
 def in_lipman_cone(g: ResolutionGraph, cycle: RatCycle) -> bool:

@@ -6,27 +6,27 @@ unique minimal anti-nef cycle lying above the start in its congruence class
 modulo the integral lattice. The endpoint is independent of tie-breaking;
 only the path varies, and tests exercise randomized policies to confirm it.
 
-Each step costs O(deg) integer work: the pairings are scaled to integers
-once per sequence, the positive vertices sit in a min-heap, and a step
-updates only the chosen vertex and its neighbours. The minimally elliptic
-cycle is a canonical cycle on a subgraph found by rationality tests, on
-every resolution; no grid of cycles is walked.
+Each step costs O(deg) integer work on numerators over one scale: the
+positive vertices sit in a min-heap, and a step updates only the chosen
+vertex and its neighbours. Class cycles and h1 sums climb from integers;
+only `antinef_closure` and `fundamental_cycle` build a sequence object.
+The minimally elliptic cycle is a canonical cycle on a subgraph found by
+rationality tests, on every resolution; no grid of cycles is walked.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
-from .graph import (ResolutionGraph, _coefficient_vector, canonical_cycle, chi,
-                    diagonal, dual_coordinates, induced_subgraph, integer_vector,
-                    neighbours, per_graph, require_negative_definite, sparse_pairings)
-from .lattice import ClassElement, ClassGroup, reduced_rep
+from .graph import (ResolutionGraph, canonical_cycle, chi, cycle_vector, diagonal,
+                    dual_coordinates, induced_subgraph, neighbours, per_graph,
+                    require_negative_definite, sparse_pairings)
+from .lattice import ClassElement, ClassGroup, reduced_numerators
 
 TieBreak = Callable[[tuple[str, ...]], str]
 
@@ -47,31 +47,24 @@ class ComputationSequence:
         return len(self.steps)
 
 
-def _climb(diag: list[int], rows, coeffs: list, choose, cap: int):
+def _climb(diag: list[int], rows, vec: list[int], scale: int, choose, cap: int):
     """Laufer's loop on the form with the given diagonal and `neighbours`
-    rows, from the cycle with the given coefficients; O(deg) per step.
-
-    The start's pairings are scaled to integers by the lcm of their
-    denominators. Off-diagonal entries are nonnegative, so a step can only
-    make neighbours positive and only the chosen vertex can stop being
-    positive: a min-heap of the positive positions needs no lazy deletion,
-    and its top is the lowest position. `choose` picks from the positive
-    positions in order; None takes the lowest. Returns the steps as
-    (position, scaled pairing) pairs, the number of times each position was
-    added, and the scale.
+    rows, from the cycle with integer numerators `vec` over `scale`; O(deg)
+    per step. Off-diagonal entries are nonnegative, so a step can only make
+    neighbours positive and only the chosen vertex can stop being positive:
+    a min-heap of the positive positions needs no lazy deletion, and its top
+    is the lowest position. `choose` picks from the positive positions in
+    order; None takes the lowest. Returns the steps as (position, pairing
+    times scale) pairs and the end's numerators over `scale`.
     """
-    vec, scale = integer_vector(coeffs)
     level = sparse_pairings(diag, rows, vec)
-    common = math.gcd(scale, *level)
-    scale //= common
-    level = [value // common for value in level]
+    end = list(vec)
     positive = [i for i, value in enumerate(level) if value > 0]  # sorted, so a heap
-    added = [0] * len(level)
     steps = []
     while positive:
         i = positive[0] if choose is None else choose(sorted(positive))
         steps.append((i, level[i]))
-        added[i] += 1
+        end[i] += scale
         level[i] += diag[i] * scale
         if level[i] <= 0:
             if positive[0] == i:
@@ -87,43 +80,43 @@ def _climb(diag: list[int], rows, coeffs: list, choose, cap: int):
             raise InternalError(
                 f"computation sequence exceeded its step cap of {cap}; "
                 "this indicates a broken invariant, not bad input")
-    return steps, added, scale
+    return steps, end
 
 
-def _run_sequence(g: ResolutionGraph, start: RatCycle, tie_break: Optional[TieBreak],
-                  cap: int) -> ComputationSequence:
-    ids = g.ids
-    coeffs = _coefficient_vector(g, start)
+def _sequence(g: ResolutionGraph, vec: list[int], scale: int, tie_break, cap=None):
+    """`_climb` on g from the cycle vec / scale, with the tie-break turned
+    into a chooser of positions; the cap defaults to `_step_cap`."""
     choose = None
     if tie_break is not None:
         def choose(positions: list[int]) -> int:
-            candidates = tuple(ids[i] for i in positions)
+            candidates = tuple(g.ids[i] for i in positions)
             chosen = tie_break(candidates)
             if chosen not in candidates:
                 raise InternalError(f"tie-break returned {chosen!r}, not a candidate")
             return positions[candidates.index(chosen)]
-    steps, added, scale = _climb(diagonal(g), neighbours(g), coeffs, choose, cap)
+    if cap is None:
+        cap = _step_cap(g, vec, scale)
+    return _climb(diagonal(g), neighbours(g), vec, scale, choose, cap)
+
+
+def _run_sequence(g: ResolutionGraph, start: RatCycle, tie_break: Optional[TieBreak],
+                  cap: Optional[int]) -> ComputationSequence:
+    vec, scale = cycle_vector(g, start)
+    steps, end = _sequence(g, vec, scale, tie_break, cap)
+    ids = g.ids
     return ComputationSequence(
         start, tuple(LauferStep(ids[i], Fraction(value, scale)) for i, value in steps),
-        RatCycle({vid: c + a for vid, c, a in zip(ids, coeffs, added)}))
+        RatCycle(zip(ids, (Fraction(x, scale) for x in end))))
 
 
 # Generous fallback used only while the fundamental cycle itself is unknown.
 _BOOTSTRAP_CAP = 1_000_000
 
 
-def climb_end(diag: list[int], rows, coeffs: list[int]) -> list[int]:
-    """Coefficients of the minimal anti-nef cycle above an integral start,
-    on a negative-definite form given by its diagonal and `neighbours` rows."""
-    _steps, added, _scale = _climb(diag, rows, coeffs, None, _BOOTSTRAP_CAP)
-    return [c + a for c, a in zip(coeffs, added)]
-
-
 @per_graph
 def _fundamental_cycle_default(g: ResolutionGraph) -> ComputationSequence:
     seq = _run_sequence(g, RatCycle.unit(g.ids[0]), None, _BOOTSTRAP_CAP)
-    end = seq.end
-    if any(end.coefficient(vid) < 1 for vid in g.ids):  # pragma: no cover - theory
+    if any(seq.end.coefficient(vid) < 1 for vid in g.ids):  # pragma: no cover - theory
         raise InternalError("fundamental cycle has a coefficient below one")
     return seq
 
@@ -152,12 +145,11 @@ def fundamental_cycle(g: ResolutionGraph, start_vertex: str | None = None,
     return _run_sequence(g, start, tie_break, _BOOTSTRAP_CAP)
 
 
-def _step_cap(g: ResolutionGraph, start: RatCycle) -> int:
+def _step_cap(g: ResolutionGraph, vec: list[int], scale: int) -> int:
     # A cap proportional to |start| + 2*Z_min alone is too tight: a start
     # near -2*Z_min makes it vanish while the honest climb back into the
     # anti-nef cone is long. Scale with the start and the fundamental cycle
     # separately; any runaway loop still overshoots this immediately.
-    vec, scale = integer_vector(_coefficient_vector(g, start))
     z_min_total = sum(int(q) for _, q in z_min_cycle(g).items())
     return 64 + 16 * (z_min_total - (-sum(map(abs, vec)) // scale))
 
@@ -166,7 +158,7 @@ def antinef_closure(g: ResolutionGraph, start: RatCycle,
                     tie_break: Optional[TieBreak] = None) -> ComputationSequence:
     """Minimal anti-nef cycle >= start and congruent to it mod the lattice."""
     require_negative_definite(g)
-    return _run_sequence(g, start, tie_break, _step_cap(g, start))
+    return _run_sequence(g, start, tie_break, None)
 
 
 @per_graph
@@ -186,16 +178,18 @@ def minimal_antinef_rep(g: ResolutionGraph, cg: ClassGroup, h: ClassElement,
                         tie_break: Optional[TieBreak] = None) -> RatCycle:
     """The unique minimal anti-nef cycle in the given class.
 
-    Computed as the closure of the fractional representative; zero exactly
-    for the zero class.
+    Computed as the closure of the fractional representative, climbed in
+    numerators over det(-M); zero exactly for the zero class.
     """
-    rep = reduced_rep(cg, h)
-    end = antinef_closure(g, rep, tie_break).end
-    if h.is_zero and end:  # pragma: no cover - cross-check
+    if cg.graph != g:
+        raise PreconditionError("the class group given is not the one of this graph")
+    det = cg.order
+    _steps, end = _sequence(g, reduced_numerators(cg, h), det, tie_break)
+    if h.is_zero and any(end):  # pragma: no cover - cross-check
         raise InternalError("the zero class produced a nonzero minimal cycle")
-    if not h.is_zero and not end:  # pragma: no cover - cross-check
+    if not h.is_zero and not any(end):  # pragma: no cover - cross-check
         raise InternalError("a nonzero class produced the zero cycle")
-    return end
+    return RatCycle(zip(g.ids, (Fraction(x, det) for x in end)))
 
 
 def h1_rational(g: ResolutionGraph, chern: RatCycle,
@@ -205,9 +199,10 @@ def h1_rational(g: ResolutionGraph, chern: RatCycle,
     the negated class. Independent of the vertex choices made."""
     if not laufer_rational(g):
         raise PreconditionError("the h1 sequence formula requires a rational graph")
-    dual_coordinates(g, chern, "Chern class")
-    seq = antinef_closure(g, -chern, tie_break)
-    return sum(int(step.value) - 1 for step in seq.steps)
+    vec, scale = cycle_vector(g, chern)
+    dual_coordinates(g, vec, scale, "Chern class")
+    steps, _end = _sequence(g, [-x for x in vec], scale, tie_break)
+    return sum(value // scale - 1 for _, value in steps)
 
 
 def _components(g: ResolutionGraph, keep: list[str]) -> list[ResolutionGraph]:

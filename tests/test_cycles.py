@@ -87,3 +87,10 @@ def test_accepts_any_mapping_or_pairs():
     expected = RatCycle({"a": 1, "b": Fraction(1, 2)})
     assert RatCycle(MappingProxyType({"a": 1, "b": "1/2"})) == expected
     assert RatCycle([("a", 1), ("b", Fraction(1, 2))]) == expected
+
+
+def test_fraction_coefficients_are_stored_as_given():
+    q = Fraction(3, 7)
+    assert RatCycle({"a": q}).coefficient("a") is q
+    assert RatCycle({"a": 2}).coefficient("a") == Fraction(2)
+    assert type(RatCycle({"a": "1/2"}).coefficient("a")) is Fraction

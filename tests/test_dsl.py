@@ -53,6 +53,12 @@ def test_parse_cycles():
     ("vertex a euler=-2\ncycle c Q: a=1\n", "basis marker"),
     ("vertex a euler=-2\ncycle c Edual: a=1/2\n", "integers"),
     ("vertex a euler=-2\nvertex b euler=-2\n", "not connected"),
+    ("vertex v euler=-2 euler=-3\n", r"line 1, column 19: repeated vertex attribute 'euler'"),
+    ("vertex v euler=-2 genus=1 genus=2\n",
+     r"line 1, column 27: repeated vertex attribute 'genus'"),
+    ("vertex a euler=-2\ncycle x E: a=1 a=2\n", r"line 2, column 16: vertex 'a' repeated in cycle 'x'"),
+    ("vertex a euler=-2\ncycle x Edual: a=1 a=2\n",
+     r"line 2, column 20: vertex 'a' repeated in cycle 'x'"),
 ])
 def test_parse_errors(source, fragment):
     with pytest.raises(ParseError, match=fragment):

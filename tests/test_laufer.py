@@ -647,3 +647,101 @@ def test_kernel_rejects_a_foreign_tie_break_choice(z7):
 def test_scan_without_witness_is_internal_error():
     with pytest.raises(InternalError, match="no chi-zero cycle"):
         _scan_elliptic_cycle(catalog("A1"))
+
+
+# --- minimal class cycles and h1 sums climb from integers ---
+
+def _class_graphs(rational_corpus, negdef_corpus):
+    names = [name for name in catalog_names() if "<" not in name]
+    names += [f"A{n}" for n in range(1, 20)] + [f"D{n}" for n in range(4, 20)]
+    return list(rational_corpus) + list(negdef_corpus) + [catalog(name) for name in names]
+
+
+def test_minimal_reps_match_the_closure_of_reduced_reps(rational_corpus, negdef_corpus):
+    """Every class's minimal cycle, climbed from integer numerators, is the
+    end of the closure of its reduced representative, and under each
+    tie-break both ask the same questions in the same order."""
+    seen_new, seen_old = [], []
+
+    def recording(seen):
+        return [None] + [lambda cands, p=policy: seen.append(cands) or p(cands)
+                         for policy in tie_break_policies()]
+
+    new_policies, old_policies = recording(seen_new), recording(seen_old)
+    classes = ties = 0
+    for g in _class_graphs(rational_corpus, negdef_corpus):
+        cg = class_group(g)
+        for h in cg.elements():
+            for new, old in zip(new_policies, old_policies):
+                got = minimal_antinef_rep(g, cg, h, new)
+                want = antinef_closure(g, reduced_rep(cg, h), old).end
+                assert got == want and seen_new == seen_old, (g, h)
+                ties += sum(len(cands) > 1 for cands in seen_new)
+                seen_new.clear()
+                seen_old.clear()
+            classes += 1
+    assert classes > 3000 and ties > 1000
+
+
+def test_h1_sums_match_the_closure_steps(rational_corpus):
+    cases = 0
+    for g in rational_corpus:
+        cg = class_group(g)
+        cherns = [minimal_antinef_rep(g, cg, h) for h in cg.elements()]
+        for c in cherns + list(dual_basis(g).values()):
+            assert h1_rational(g, c) == sum(int(s.value) - 1 for s in antinef_closure(g, -c).steps)
+            cases += 1
+    assert cases > 1000
+
+
+def test_class_cycles_and_h1_climb_in_integers(rational_corpus, monkeypatch):
+    from singlat import classify, cli, graph as graph_module, lattice, laufer, oracle
+    expected = []
+    for g in rational_corpus:
+        cg = class_group(g)
+        reps = [minimal_antinef_rep(g, cg, h) for h in cg.elements()]
+        expected.append([(rep, h1_rational(g, rep)) for rep in reps])
+    graphs = [ResolutionGraph(g.vertices, g.edges) for g in rational_corpus]  # empty memos
+    for g in graphs:  # the per-graph bootstrap runs before the spies
+        class_group(g)
+        laufer_rational(g)
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a RatCycle or a sequence object on the integer closure path")
+
+    calls = []
+    cycle_vector = graph_module.cycle_vector
+
+    def counting(*args):
+        calls.append(args)
+        return cycle_vector(*args)
+
+    monkeypatch.setattr(laufer, "_run_sequence", forbidden)
+    monkeypatch.setattr(laufer, "LauferStep", forbidden)
+    for name in ("__add__", "__neg__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(RatCycle, name, forbidden)
+    for module in (graph_module, lattice, laufer, oracle, classify, cli):
+        if hasattr(module, "reduced_rep"):
+            monkeypatch.setattr(module, "reduced_rep", forbidden)
+        if hasattr(module, "cycle_vector"):
+            monkeypatch.setattr(module, "cycle_vector", counting)
+    for g, want in zip(graphs, expected):
+        cg = class_group(g)
+        reps = [minimal_antinef_rep(g, cg, h) for h in cg.elements()]
+        assert calls == []
+        for rep, (want_rep, want_h1) in zip(reps, want):
+            assert rep == want_rep
+            assert h1_rational(g, rep) == want_h1
+            assert len(calls) == 1
+            calls.clear()
+
+
+def test_minimal_rep_refuses_a_class_group_of_another_graph():
+    a4 = catalog("A4")
+    h = next(iter(class_group(a4).elements()))
+    other = graph([("v1", -3), ("v2", -2), ("v3", -2), ("v4", -2)],
+                  [("v1", "v2"), ("v2", "v3"), ("v3", "v4")])
+    for g in (catalog("A3"), other):
+        with pytest.raises(PreconditionError, match="not the one of this graph"):
+            minimal_antinef_rep(g, class_group(a4), h)
+    assert minimal_antinef_rep(catalog("A4"), class_group(a4), h) == RatCycle.zero()
