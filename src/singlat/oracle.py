@@ -63,10 +63,7 @@ def _resolve_box(g: ResolutionGraph, box: Optional[Box]) -> Box:
 
 
 def grid_size(box: Box) -> int:
-    size = 1
-    for _vid, b in box.bounds:
-        size *= b + 1
-    return size
+    return math.prod(b + 1 for _vid, b in box.bounds)
 
 
 def _require_positive_scale(scale: int) -> None:
@@ -170,53 +167,60 @@ def brute_lipman_min(g: ResolutionGraph, h: ClassElement,
 def brute_min_chi(g: ResolutionGraph, box: Optional[Box] = None) -> tuple[int, RatCycle]:
     """Minimum of chi over nonzero effective integral cycles in the box.
 
-    Walks the coefficient grid odometer-style, maintaining the quadratic
-    form incrementally, so every candidate costs O(1) big-int work. The
+    Walks the grid of every coordinate but the last odometer-style,
+    maintaining the quadratic form incrementally. Along the last coordinate
+    c, 2*chi is a convex quadratic, least at one of the two integers around
+    its vertex, so each line of the grid costs O(1) big-int work. The
     witness returned is the first minimiser in odometer order.
     """
     require_negative_definite(g)
     box = _resolve_box(g, box)
     ids = g.ids
-    n = len(ids)
     rows = intersection_matrix(g).rows
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
     targets = [v.euler + 2 - 2 * v.genus for v in g.vertices]
     limits = [box.bound(vid) for vid in ids]
     if all(b == 0 for b in limits):
         raise PreconditionError("empty box: no nonzero cycles to scan")
 
-    coeffs = [0] * n
+    last, top = len(ids) - 1, limits[-1]
+    curve = -rows[last][last]  # > 0 on a negative-definite form
+    coeffs = [0] * last        # every coordinate but the last
     q = 0                      # l^T M l
-    p = [0] * n                # (M l)_v
+    p = [0] * len(ids)         # (M l)_v
     tau = 0                    # l . targets
-    best: Optional[int] = None
-    witness: Optional[list[int]] = None
+    low = 1                    # the zero cycle is not a candidate
+    best = None                # (2 * chi, witness)
     while True:
-        # advance the odometer by one in the last coordinate that has room
-        pos = n - 1
-        while pos >= 0 and coeffs[pos] == limits[pos]:
-            # roll this coordinate back to zero
+        # 2*chi(l + c E_last) = tau - q + slope*c + curve*c^2 for c in [low, top]
+        slope = targets[last] - 2 * p[last]
+        c = min(max(-slope // (2 * curve), low), top)
+        if c < top and slope + curve * (2 * c + 1) < 0:  # c + 1 is strictly lower
+            c += 1
+        value2 = tau - q + slope * c + curve * c * c
+        if low <= top and (best is None or value2 < best[0]):
+            best = (value2, coeffs + [c])
+        low = 0
+        pos = last - 1
+        while pos >= 0 and coeffs[pos] == limits[pos]:  # roll back to zero
             c = coeffs[pos]
             q -= 2 * c * p[pos] - c * c * rows[pos][pos]
-            for j in range(n):
-                p[j] -= c * rows[pos][j]
+            for j, x in nonzero[pos]:
+                p[j] -= c * x
             tau -= c * targets[pos]
             coeffs[pos] = 0
             pos -= 1
         if pos < 0:
             break
-        q += 2 * p[pos] + rows[pos][pos]
-        for j in range(n):
-            p[j] += rows[pos][j]
+        q += 2 * p[pos] + rows[pos][pos]  # advance by one
+        for j, x in nonzero[pos]:
+            p[j] += x
         tau += targets[pos]
         coeffs[pos] += 1
-        value2 = -(q - tau)  # 2 * chi
-        if best is None or value2 < best:
-            best = value2
-            witness = list(coeffs)
-    assert best is not None and witness is not None
-    if best % 2:  # pragma: no cover - chi is integral on integral cycles
+    value2, witness = best
+    if value2 % 2:  # pragma: no cover - chi is integral on integral cycles
         raise InternalError("chi evaluated to a half-integer on an integral cycle")
-    return best // 2, RatCycle({ids[i]: witness[i] for i in range(n)})
+    return value2 // 2, RatCycle(zip(ids, witness))
 
 
 def brute_fundamental_cycle(g: ResolutionGraph, box: Optional[Box] = None) -> Optional[RatCycle]:
@@ -298,8 +302,7 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         rng = random.Random(VERIFY_SEED)
         sample = [RatCycle.unit(v) for v in ids] + [duals[v] for v in ids] + [z_min, z_k]
         for _ in range(10):
-            a = rng.choice(sample)
-            b = rng.choice(sample)
+            a, b = rng.choice(sample), rng.choice(sample)
             lhs = chi(g, a + b)
             rhs = chi(g, a) + chi(g, b) - pairing(g, a, b)
             assert lhs == rhs, f"chi not quadratic at {a} + {b}"
@@ -308,9 +311,7 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
     def check_class_order():
         det = lattice_determinant(g)
         assert cg.order == det, f"order {cg.order} != determinant {det}"
-        product = 1
-        for f in cg.factors:
-            product *= f
+        product = math.prod(cg.factors)
         assert product == det, f"factor product {product} != determinant {det}"
         return f"order {det}, factors {list(cg.factors)}"
 
@@ -325,8 +326,7 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         rng = random.Random(VERIFY_SEED + 1)
         sample = [duals[v] for v in ids]
         for _ in range(10):
-            a = rng.choice(sample)
-            b = rng.choice(sample)
+            a, b = rng.choice(sample), rng.choice(sample)
             assert class_of(cg, a + b) == cg.add(class_of(cg, a), class_of(cg, b)), \
                 "class map is not additive"
         return "class map additive on sampled pairs"

@@ -72,6 +72,36 @@ def test_brute_min_chi_examples(z7):
     assert witness == RatCycle({"E1": 1, "E2": 1, "E3": 1})
 
 
+def test_brute_min_chi_matches_a_point_by_point_scan():
+    # the line-by-line scan must return the value and the witness of a plain
+    # walk over every grid point, first minimiser in product order; genus and
+    # (-1)-curves make lines with two least points
+    import itertools
+    import random
+
+    from singlat import chi, intersection_matrix, is_negative_definite
+
+    rng = random.Random(11)
+    scanned = 0
+    while scanned < 120:
+        n = rng.randint(1, 4)
+        g = graph([(f"v{i}", rng.choice((-1, -2, -2, -3, -5)), rng.choice((0, 0, 1)))
+                   for i in range(n)], [(f"v{rng.randrange(i)}", f"v{i}") for i in range(1, n)])
+        if not is_negative_definite(intersection_matrix(g)):
+            continue
+        box = Box(tuple((vid, rng.randint(0, 3)) for vid in g.ids))
+        points = [RatCycle(zip(g.ids, c)) for c in
+                  itertools.product(*(range(b + 1) for _vid, b in box.bounds)) if any(c)]
+        scanned += 1
+        if not points:
+            with pytest.raises(PreconditionError):
+                brute_min_chi(g, box)
+            continue
+        values = [chi(g, point) for point in points]
+        least = min(values)
+        assert brute_min_chi(g, box) == (least, points[values.index(least)])
+
+
 def test_brute_fundamental(z7):
     assert brute_fundamental_cycle(z7) == fundamental_cycle(z7).end
 
