@@ -17,10 +17,11 @@ from typing import Optional
 
 from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
-from .graph import ResolutionGraph, dual_basis, extend_graph, pairing
-from .lattice import ClassElement, class_group, class_of
-from .laufer import (SingularityType, classify_singularity, fundamental_cycle,
-                     h1_rational, laufer_rational, minimal_antinef_rep)
+from .graph import (ResolutionGraph, adjugate, cycle_vector, diagonal, dual_basis, extend_graph,
+                    neighbours, sparse_pairings, vector_cycle)
+from .lattice import ClassElement, ClassGroup, class_group, class_of
+from .laufer import (SingularityType, classify_singularity, h1_numerators,
+                     h1_rational, laufer_rational, minimal_numerators, z_min_cycle)
 
 FLAT_ALL = "all"
 FLAT_EXACTLY_ONE = "exactly-one"
@@ -91,31 +92,48 @@ def special_full_sheaves(g: ResolutionGraph) -> tuple[SpecialnessRecord, ...]:
     against the fundamental cycle; the minimal cycle is the dual of a vertex
     of multiplicity one; and the cohomology sum along the computation
     sequence vanishes. Disagreement is an internal bug, never user error.
+    All three run on the minimal cycle's numerators over det(-M): the dual
+    of vertex v has column v of adj(-M) as its numerators, so the witness
+    is a lookup.
     """
     if not laufer_rational(g):
         raise PreconditionError("specialness is defined here for rational graphs only")
     cg = class_group(g)
-    z_min = fundamental_cycle(g).end
-    duals = dual_basis(g)
+    det = cg.order
+    z_vec = cycle_vector(g, z_min_cycle(g))[0]
+    z_pairings = sparse_pairings(diagonal(g), neighbours(g), z_vec)
+    # adj(-M) is symmetric: its row v is the column of the dual of v
+    witnesses = {column: vid for vid, column, z in zip(g.ids, adjugate(g), z_vec) if z == 1}
     records = []
     for h in cg.elements():
         if h.is_zero:
             continue
-        rep = minimal_antinef_rep(g, cg, h)
-        value = -pairing(g, rep, z_min)
-        if value.denominator != 1:  # pragma: no cover - rep is in the dual lattice
+        end = minimal_numerators(g, cg, h)
+        value, rest = divmod(-sum(x * p for x, p in zip(end, z_pairings)), det)
+        if rest:  # pragma: no cover - the minimal cycle is in the dual lattice
             raise InternalError("minimal cycle pairs fractionally with the fundamental cycle")
-        value = int(value)
-        witness = next((vid for vid, dual in duals.items()
-                        if dual == rep and z_min.coefficient(vid) == 1), None)
-        h1 = h1_rational(g, rep)
+        witness = witnesses.get(end)
+        h1 = h1_numerators(g, end, det)
         verdicts = (value == 1, witness is not None, h1 == 0)
         if len(set(verdicts)) != 1:
             raise InternalError(
                 f"specialness tests disagree for class {h.coords}: pairing={value}, "
                 f"witness={witness!r}, h1={h1}")
-        records.append(SpecialnessRecord(h.coords, rep, value, witness, h1, verdicts[0]))
+        records.append(SpecialnessRecord(h.coords, vector_cycle(g, end, det), value, witness, h1,
+                                         verdicts[0]))
     return tuple(records)
+
+
+def _dual_classes(g: ResolutionGraph, cg: ClassGroup):
+    """Per vertex: its id, its dual cycle, the dual's class, and whether
+    the dual is the class's minimal cycle, with that minimal cycle."""
+    duals = dual_basis(g)
+    for vid, column in zip(g.ids, adjugate(g)):
+        dual = duals[vid]
+        h = class_of(cg, dual)
+        end = minimal_numerators(g, cg, h)
+        dual_is_min = end == column
+        yield vid, dual, h, dual_is_min, dual if dual_is_min else vector_cycle(g, end, cg.order)
 
 
 def wunram_table(g: ResolutionGraph) -> tuple[VertexRecord, ...]:
@@ -130,15 +148,10 @@ def wunram_table(g: ResolutionGraph) -> tuple[VertexRecord, ...]:
     if not laufer_rational(g):
         raise PreconditionError("the per-vertex table is defined for rational graphs only")
     cg = class_group(g)
-    z_min = fundamental_cycle(g).end
+    z_min = z_min_cycle(g)
     minimal = g.is_minimal_resolution
-    duals = dual_basis(g)
     rows = []
-    for vid in g.ids:
-        dual = duals[vid]
-        h = class_of(cg, dual)
-        rep = minimal_antinef_rep(g, cg, h)
-        dual_is_min = rep == dual
+    for vid, dual, h, dual_is_min, rep in _dual_classes(g, cg):
         mult = int(z_min.coefficient(vid))
         ext_rational = laufer_rational(extend_graph(g, vid))
         is_special_full = dual_is_min and mult == 1
@@ -217,12 +230,12 @@ def full_sheaf_classes_min_elliptic(g: ResolutionGraph) -> ClassificationReport:
             "the elliptic cycle is not supported on every vertex; "
             "this classifier requires full support (as in the minimal resolution)")
     cg = class_group(g)
-    z_min = fundamental_cycle(g).end
+    z_min = z_min_cycle(g)
     families = []
     for h in cg.elements():
         if h.is_zero:
             continue
-        rep = minimal_antinef_rep(g, cg, h)
+        rep = vector_cycle(g, minimal_numerators(g, cg, h), cg.order)
         families.append(FullSheafFamily(h.coords, rep, 1))
     zero = cg.zero()
     families.append(FullSheafFamily(
@@ -235,17 +248,16 @@ def full_sheaf_classes_min_elliptic(g: ResolutionGraph) -> ClassificationReport:
     if inclusion_only:
         notes = notes + ("a positive-genus curve is present: the family list is an "
                          "upper bound (inclusion), not an equality",)
-    duals = dual_basis(g)
     table = tuple(VertexRecord(
         vertex=vid,
         multiplicity=int(z_min.coefficient(vid)),
-        dual=duals[vid],
-        class_coords=class_of(cg, duals[vid]).coords,
-        min_rep=minimal_antinef_rep(g, cg, class_of(cg, duals[vid])),
+        dual=dual,
+        class_coords=h.coords,
+        min_rep=rep,
         dual_is_min_rep=None,
         special=None,
         extended_rational=None,
-    ) for vid in g.ids)
+    ) for vid, dual, h, _dual_is_min, rep in _dual_classes(g, cg))
     return ClassificationReport(
         graph=g,
         singularity=st,
@@ -267,7 +279,7 @@ def flat_annotation(g: ResolutionGraph, report: ClassificationReport) -> Classif
     and the trivial sheaf itself. Anything else stays unknown.
     """
     st = report.singularity
-    z_min = fundamental_cycle(g).end
+    z_min = z_min_cycle(g)
 
     def annotate(fam: FullSheafFamily) -> FullSheafFamily:
         if st.rational or st.cusp:

@@ -16,10 +16,11 @@ from .classify import (flat_annotation, full_sheaf_classes_min_elliptic,
 from .cycles import RatCycle
 from .errors import InputError, InternalError, PreconditionError, SinglatError
 from .graph import (ResolutionGraph, _negative_definite, blow_up, canonical_cycle, chi,
-                    dual_basis, extend_graph, lattice_determinant, total_transform)
-from .lattice import class_group, class_of, reduced_rep
-from .laufer import (antinef_closure, classify_singularity, fundamental_cycle,
-                     laufer_rational, minimal_antinef_rep)
+                    dual_basis, extend_graph, lattice_determinant, total_transform,
+                    vector_cycle)
+from .lattice import class_group, class_of, reduced_numerators
+from .laufer import (classify_singularity, laufer_rational, minimal_antinef_rep,
+                     minimal_numerators, z_min_cycle)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,10 +67,14 @@ def _box_scale(args) -> int:
     return 3 if scale is None else scale
 
 
-def _emit(args, doc_type: str, payload: dict, text: str) -> None:
+def _emit(args, doc_type: str, payload, lines) -> None:
+    """Write the JSON document or the text, whichever `--format` asks for.
+    Both come as functions, `payload` of the document's fields and `lines`
+    of the text's lines, and only the one asked for is called."""
     if args.format == "json":
-        sys.stdout.write(jsonio.dumps(jsonio.document(doc_type, payload)))
+        sys.stdout.write(jsonio.dumps(jsonio.document(doc_type, payload())))
     else:
+        text = "\n".join(lines())
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
@@ -84,72 +89,93 @@ def _maybe_verify(args, g: ResolutionGraph) -> None:
 def cmd_check(args) -> int:
     g = _load_graph(args)
     negdef = _negative_definite(g)
-    payload = {"well_formed": True, "negative_definite": negdef}
-    lines = ["well-formed: yes", f"negative definite: {'yes' if negdef else 'no'}"]
+    st = classify_singularity(g) if negdef else None
     if negdef:
-        st = classify_singularity(g)
-        payload["singularity"] = jsonio.encode_singularity(st)
-        lines.append(f"type: {st.kind}")
-        lines.append(f"minimal resolution: {'yes' if st.minimal_resolution else 'no'}")
-        lines.append(f"numerically Gorenstein: {'yes' if st.numerically_gorenstein else 'no'}")
-        for w in st.warnings:
-            lines.append(f"note: {w}")
         _maybe_verify(args, g)
-    _emit(args, "check", payload, "\n".join(lines))
+
+    def payload():
+        doc = {"well_formed": True, "negative_definite": negdef}
+        if negdef:
+            doc["singularity"] = jsonio.encode_singularity(st)
+        return doc
+
+    def lines():
+        out = ["well-formed: yes", f"negative definite: {'yes' if negdef else 'no'}"]
+        if negdef:
+            out.append(f"type: {st.kind}")
+            out.append(f"minimal resolution: {'yes' if st.minimal_resolution else 'no'}")
+            out.append(f"numerically Gorenstein: {'yes' if st.numerically_gorenstein else 'no'}")
+            out += [f"note: {w}" for w in st.warnings]
+        return out
+
+    _emit(args, "check", payload, lines)
     return 0
 
 
 def cmd_invariants(args) -> int:
     g = _load_graph(args)
     cg = class_group(g)
-    z_min = fundamental_cycle(g).end
+    z_min = z_min_cycle(g)
     z_k = canonical_cycle(g)
     duals = dual_basis(g)
-    payload = {
-        "graph": jsonio.encode_graph(g),
-        "determinant": str(lattice_determinant(g)),
-        "class_group": jsonio.encode_class_group(cg),
-        "fundamental_cycle": jsonio.encode_cycle(g, z_min),
-        "canonical_cycle": jsonio.encode_cycle(g, z_k),
-        "canonical_is_integral": z_k.is_integral,
-        "chi_fundamental": jsonio.encode_rational(chi(g, z_min)),
-        "dual_cycles": {vid: jsonio.encode_cycle(g, duals[vid]) for vid in g.ids},
-    }
-    factors = " x ".join(f"Z/{f}" for f in cg.factors) or "trivial"
-    lines = [
-        f"determinant: {lattice_determinant(g)}",
-        f"class group: {factors} (order {cg.order})",
-        f"graph betti_1: {g.betti1}",
-        f"fundamental cycle: {format_cycle(g, z_min)}",
-        f"canonical cycle: {format_cycle(g, z_k)}"
-        + (" (integral)" if z_k.is_integral else " (not integral)"),
-        f"chi(fundamental cycle): {chi(g, z_min)}",
-        "dual cycles:",
-    ]
-    lines += [f"  {vid}*: {format_cycle(g, duals[vid])}" for vid in g.ids]
+    chi_min = chi(g, z_min)
     _maybe_verify(args, g)
-    _emit(args, "invariants", payload, "\n".join(lines))
+
+    def payload():
+        return {
+            "graph": jsonio.encode_graph(g),
+            "determinant": str(lattice_determinant(g)),
+            "class_group": jsonio.encode_class_group(cg),
+            "fundamental_cycle": jsonio.encode_cycle(g, z_min),
+            "canonical_cycle": jsonio.encode_cycle(g, z_k),
+            "canonical_is_integral": z_k.is_integral,
+            "chi_fundamental": jsonio.encode_rational(chi_min),
+            "dual_cycles": {vid: jsonio.encode_cycle(g, duals[vid]) for vid in g.ids},
+        }
+
+    def lines():
+        factors = " x ".join(f"Z/{f}" for f in cg.factors) or "trivial"
+        return [
+            f"determinant: {lattice_determinant(g)}",
+            f"class group: {factors} (order {cg.order})",
+            f"graph betti_1: {g.betti1}",
+            f"fundamental cycle: {format_cycle(g, z_min)}",
+            f"canonical cycle: {format_cycle(g, z_k)}"
+            + (" (integral)" if z_k.is_integral else " (not integral)"),
+            f"chi(fundamental cycle): {chi_min}",
+            "dual cycles:",
+        ] + [f"  {vid}*: {format_cycle(g, duals[vid])}" for vid in g.ids]
+
+    _emit(args, "invariants", payload, lines)
     return 0
 
 
 def cmd_sh(args) -> int:
     g = _load_graph(args)
     cg = class_group(g)
+    det = cg.order
     rows = []
-    lines = [f"classes: {cg.order}"]
     for h in cg.elements():
-        rep = reduced_rep(cg, h)
-        seq = antinef_closure(g, rep)
-        rows.append({
+        start, end = reduced_numerators(cg, h), minimal_numerators(g, cg, h)
+        # each step of the climb from start to end adds det(-M) to one numerator
+        rows.append((h, vector_cycle(g, start, det), vector_cycle(g, end, det),
+                     (sum(end) - sum(start)) // det))
+    _maybe_verify(args, g)
+
+    def payload():
+        return {"graph": jsonio.encode_graph(g), "rows": [{
             "class": [str(c) for c in h.coords],
             "reduced_rep": jsonio.encode_cycle(g, rep),
-            "min_rep": jsonio.encode_cycle(g, seq.end),
-            "steps": str(len(seq)),
-        })
-        lines.append(f"h={h.coords}: r = {format_cycle(g, rep)}; "
-                     f"s = {format_cycle(g, seq.end)}; steps = {len(seq)}")
-    _maybe_verify(args, g)
-    _emit(args, "sh-table", {"graph": jsonio.encode_graph(g), "rows": rows}, "\n".join(lines))
+            "min_rep": jsonio.encode_cycle(g, min_rep),
+            "steps": str(steps),
+        } for h, rep, min_rep, steps in rows]}
+
+    def lines():
+        return [f"classes: {cg.order}"] + [
+            f"h={h.coords}: r = {format_cycle(g, rep)}; s = {format_cycle(g, min_rep)}; "
+            f"steps = {steps}" for h, rep, min_rep, steps in rows]
+
+    _emit(args, "sh-table", payload, lines)
     return 0
 
 
@@ -163,27 +189,29 @@ def cmd_classify(args) -> int:
     else:
         raise PreconditionError(
             f"graph is neither rational nor minimally elliptic (classified as {st.kind}; "
-            f"chi of the fundamental cycle is {chi(g, fundamental_cycle(g).end)})")
+            f"chi of the fundamental cycle is {chi(g, z_min_cycle(g))})")
     report = flat_annotation(g, report)
-    lines = [f"type: {report.singularity.kind}",
-             f"classes: {report.class_order}",
-             f"families: {len(report.families)}"]
-    if report.inclusion_only:
-        lines.append("inclusion-only: the family list is an upper bound")
-    for fam in report.families:
-        desc = [f"h={fam.class_coords}",
-                f"-c1 = {format_cycle(g, fam.chern_class)}",
-                f"dim {fam.family_dim}",
-                f"flat: {fam.flat_count}"]
-        if fam.special is not None:
-            desc.append("special" if fam.special else "not special")
-        if fam.exceptions:
-            desc.append("; ".join(fam.exceptions))
-        lines.append("  " + " | ".join(desc))
-    for note in report.notes:
-        lines.append(f"note: {note}")
     _maybe_verify(args, g)
-    _emit(args, "classification", jsonio.encode_report(report), "\n".join(lines))
+
+    def lines():
+        out = [f"type: {report.singularity.kind}",
+               f"classes: {report.class_order}",
+               f"families: {len(report.families)}"]
+        if report.inclusion_only:
+            out.append("inclusion-only: the family list is an upper bound")
+        for fam in report.families:
+            desc = [f"h={fam.class_coords}",
+                    f"-c1 = {format_cycle(g, fam.chern_class)}",
+                    f"dim {fam.family_dim}",
+                    f"flat: {fam.flat_count}"]
+            if fam.special is not None:
+                desc.append("special" if fam.special else "not special")
+            if fam.exceptions:
+                desc.append("; ".join(fam.exceptions))
+            out.append("  " + " | ".join(desc))
+        return out + [f"note: {note}" for note in report.notes]
+
+    _emit(args, "classification", lambda: jsonio.encode_report(report), lines)
     return 0
 
 
@@ -191,20 +219,22 @@ def cmd_special(args) -> int:
     g = _load_graph(args)
     records = special_full_sheaves(g)
     table = wunram_table(g)
-    rows = [jsonio.encode_vertex_record(g, rec) for rec in table]
-    lines = ["vertex | mult | dual is minimal | extension rational | special"]
-    for rec in table:
-        lines.append(f"{rec.vertex} | {rec.multiplicity} | {rec.dual_is_min_rep} | "
-                     f"{rec.extended_rational} | {rec.special}")
-    specials = [r for r in records if r.special]
-    lines.append(f"special nonzero classes: {[r.class_coords for r in specials]}")
-    payload = {
-        "graph": jsonio.encode_graph(g),
-        "rows": rows,
-        "classes": [jsonio.encode_specialness(g, r) for r in records],
-    }
     _maybe_verify(args, g)
-    _emit(args, "special-table", payload, "\n".join(lines))
+
+    def payload():
+        return {
+            "graph": jsonio.encode_graph(g),
+            "rows": [jsonio.encode_vertex_record(g, rec) for rec in table],
+            "classes": [jsonio.encode_specialness(g, r) for r in records],
+        }
+
+    def lines():
+        return ["vertex | mult | dual is minimal | extension rational | special"] + [
+            f"{rec.vertex} | {rec.multiplicity} | {rec.dual_is_min_rep} | "
+            f"{rec.extended_rational} | {rec.special}" for rec in table] + [
+            f"special nonzero classes: {[r.class_coords for r in records if r.special]}"]
+
+    _emit(args, "special-table", payload, lines)
     return 0
 
 
@@ -213,20 +243,26 @@ def cmd_extend(args) -> int:
     ext = extend_graph(g, args.vertex, args.euler)
     new_id = ext.ids[-1]
     text_doc = dsl.serialize(dsl.GraphDocument(None, ext.vertices, ext.edges))
-    mult = fundamental_cycle(ext).end.coefficient(new_id)
-    payload = {
-        "graph": jsonio.encode_graph(ext),
-        "source_text": text_doc,
-        "new_vertex": new_id,
-        "euler": str(ext.vertex(new_id).euler),
-        "extension_rational": laufer_rational(ext),
-        "new_vertex_multiplicity": str(mult),
-    }
-    lines = [text_doc.rstrip("\n"),
-             f"# new vertex {new_id} with euler {ext.vertex(new_id).euler}; "
-             f"rational: {laufer_rational(ext)}; multiplicity in fundamental cycle: {mult}"]
+    mult = z_min_cycle(ext).coefficient(new_id)
+    rational = laufer_rational(ext)
     _maybe_verify(args, ext)
-    _emit(args, "extend", payload, "\n".join(lines))
+
+    def payload():
+        return {
+            "graph": jsonio.encode_graph(ext),
+            "source_text": text_doc,
+            "new_vertex": new_id,
+            "euler": str(ext.vertex(new_id).euler),
+            "extension_rational": rational,
+            "new_vertex_multiplicity": str(mult),
+        }
+
+    def lines():
+        return [text_doc.rstrip("\n"),
+                f"# new vertex {new_id} with euler {ext.vertex(new_id).euler}; "
+                f"rational: {rational}; multiplicity in fundamental cycle: {mult}"]
+
+    _emit(args, "extend", payload, lines)
     return 0
 
 
@@ -238,49 +274,57 @@ def cmd_blowup(args) -> int:
     target, bmap = blow_up(g, locus)
     cg = class_group(g)
     cg_new = class_group(target)
+    source_text = dsl.serialize(dsl.GraphDocument(None, target.vertices, target.edges))
     rows = []
-    lines = [dsl.serialize(dsl.GraphDocument(None, target.vertices, target.edges)).rstrip("\n")]
-    lines.append("class | s | total transform | s of transformed class | equal")
     for h in cg.elements():
         rep = minimal_antinef_rep(g, cg, h)
         pushed = total_transform(bmap, rep)
         h_new = class_of(cg_new, pushed)
-        rep_new = minimal_antinef_rep(target, cg_new, h_new)
-        rows.append({
-            "class": [str(c) for c in h.coords],
-            "min_rep": jsonio.encode_cycle(g, rep),
-            "transform": jsonio.encode_cycle(target, pushed),
-            "target_class": [str(c) for c in h_new.coords],
-            "target_min_rep": jsonio.encode_cycle(target, rep_new),
-            "transform_is_min": pushed == rep_new,
-        })
-        lines.append(f"{h.coords} | {format_cycle(g, rep)} | {format_cycle(target, pushed)} | "
-                     f"{format_cycle(target, rep_new)} | {pushed == rep_new}")
-    payload = {
-        "graph": jsonio.encode_graph(target),
-        "source_text": dsl.serialize(dsl.GraphDocument(None, target.vertices, target.edges)),
-        "new_vertex": bmap.new_id,
-        "transform_table": rows,
-    }
+        rows.append((h, rep, pushed, h_new, minimal_antinef_rep(target, cg_new, h_new)))
     _maybe_verify(args, target)
-    _emit(args, "blowup", payload, "\n".join(lines))
+
+    def payload():
+        return {
+            "graph": jsonio.encode_graph(target),
+            "source_text": source_text,
+            "new_vertex": bmap.new_id,
+            "transform_table": [{
+                "class": [str(c) for c in h.coords],
+                "min_rep": jsonio.encode_cycle(g, rep),
+                "transform": jsonio.encode_cycle(target, pushed),
+                "target_class": [str(c) for c in h_new.coords],
+                "target_min_rep": jsonio.encode_cycle(target, rep_new),
+                "transform_is_min": pushed == rep_new,
+            } for h, rep, pushed, h_new, rep_new in rows],
+        }
+
+    def lines():
+        return [source_text.rstrip("\n"),
+                "class | s | total transform | s of transformed class | equal"] + [
+            f"{h.coords} | {format_cycle(g, rep)} | {format_cycle(target, pushed)} | "
+            f"{format_cycle(target, rep_new)} | {pushed == rep_new}"
+            for h, rep, pushed, h_new, rep_new in rows]
+
+    _emit(args, "blowup", payload, lines)
     return 0
 
 
 def cmd_catalog(args) -> int:
     if args.name is None:
         names = dsl.catalog_names()
-        _emit(args, "catalog-list", {"names": list(names)}, "\n".join(names))
+        _emit(args, "catalog-list", lambda: {"names": list(names)}, lambda: names)
         return 0
     source = dsl.catalog_source(args.name)
-    _emit(args, "catalog-source", {"name": args.name, "source_text": source}, source)
+    _emit(args, "catalog-source", lambda: {"name": args.name, "source_text": source},
+          lambda: [source])
     return 0
 
 
 def cmd_verify(args) -> int:
     g = _load_graph(args)
     transcript = oracle.verify_all(g, scale=_box_scale(args))
-    _emit(args, "verification", jsonio.encode_transcript(transcript), transcript.to_text())
+    _emit(args, "verification", lambda: jsonio.encode_transcript(transcript),
+          lambda: [transcript.to_text()])
     return 0 if transcript.passed else 3
 
 

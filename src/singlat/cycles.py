@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Union
 
 Coefficient = Union[int, Fraction, str]
+_ZERO = Fraction(0)
 
 
 class RatCycle:
@@ -37,7 +38,7 @@ class RatCycle:
         return cls({vid: 1})
 
     def coefficient(self, vid: str) -> Fraction:
-        return self._coeffs.get(vid, Fraction(0))
+        return self._coeffs.get(vid, _ZERO)
 
     @property
     def support(self) -> tuple[str, ...]:
@@ -70,7 +71,7 @@ class RatCycle:
             return NotImplemented
         data = dict(self._coeffs)
         for vid, q in other._coeffs.items():
-            data[vid] = data.get(vid, Fraction(0)) + q
+            data[vid] = data.get(vid, _ZERO) + q
         return RatCycle(data)
 
     def __sub__(self, other: "RatCycle") -> "RatCycle":

@@ -284,6 +284,12 @@ def cycle_vector(g: ResolutionGraph, cycle: RatCycle) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in coeffs], scale
 
 
+def vector_cycle(g: ResolutionGraph, vec, scale: int) -> RatCycle:
+    """The cycle with integer numerators `vec` over `scale` in vertex order:
+    where integers become a `RatCycle` again, the inverse of `cycle_vector`."""
+    return RatCycle(zip(g.ids, (Fraction(x, scale) for x in vec)))
+
+
 def sparse_pairings(diag, rows, vec: list[int]) -> list[int]:
     """(D, E_i) at every position i, for the integral cycle D with the given
     coefficient vector and the form with the given diagonal and `neighbours`
@@ -424,16 +430,20 @@ def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> Reso
     The extension with Euler number k is negative definite exactly when
     k det(-M) < -adj_v, adj_v / det(-M) being the vertex's diagonal entry of
     (-M)^-1 (a Schur complement), so no extended graph is built to decide it
-    and none runs an elimination. With the Euler number omitted, the search
-    starts at the first negative-definite value at or below -2 and walks
-    down, at most 11 steps past that value, to the first extension in which
-    the new vertex has multiplicity one in the fundamental cycle and whose
-    rationality/multiplicity verdicts agree at the two next-lower values.
-    Each value is probed once per call, and each probe's fundamental cycle
-    comes from a computation sequence started at Z_min(g) + E_new: that is
-    at most Z_min of the extension, whose restriction to g is anti-nef on g.
-    The probe keeps only that cycle; its `fundamental_cycle` sequence is
-    still the one from its first vertex.
+    and none runs an elimination.
+
+    With the Euler number omitted, it is found in closed form. Z_min of any
+    extension restricts to an anti-nef cycle on g, so it is at least
+    Z_min(g) + E_new. Let Z' be the least cycle at or above Z_min(g) that
+    pairs at most 0 with every vertex of g and at most -1 with v: one climb
+    on g from Z_min(g), with E_new's +1 at v carried as an initial pairing.
+    Then E_new has multiplicity one exactly when k <= -z'_v, and for every
+    such k, Z_min(ext) = Z' + E_new, whose chi, chi(Z') + 1 - z'_v, does not
+    depend on k: neither the multiplicity nor the rationality verdict moves
+    below -z'_v. The extension takes k = min(-2, first negative-definite
+    value, -z'_v), the first value of that stable range, and is built once,
+    knowing its Z_min; its `fundamental_cycle` sequence is still the one
+    from its first vertex.
     """
     adj, det = adjugate(g), lattice_determinant(g)
     position = g.index(vid)
@@ -444,26 +454,15 @@ def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> Reso
                 f"extension at {vid!r} with Euler number {euler} is not negative definite")
         return _extended(g, vid, euler, {})
 
-    from . import laufer  # local import: verdict checks live upstream
+    from . import laufer  # local import: the climb lives upstream
 
-    ids = g.ids + (g.fresh_id("ext"),)
-    start = cycle_vector(g, laufer.z_min_cycle(g))[0] + [1]
+    start = cycle_vector(g, laufer.z_min_cycle(g))[0]
+    end = laufer._climb(diagonal(g), neighbours(g), start, 1, None, laufer._BOOTSTRAP_CAP,
+                        ((position, 1),))[1]
+    first = -(adj_self // det) - 1
     rows = list(neighbours(g))
     rows[position] += ((len(g.ids), 1),)
-    rows = tuple(rows) + (((position, 1),),)
-    probes = {}  # Euler number -> (extension, (rational, multiplicity one))
-
-    def probe(k: int):
-        if k not in probes:
-            end = laufer._climb(diagonal(g) + [k], rows, start, 1, None, laufer._BOOTSTRAP_CAP)[1]
-            ext = _extended(g, vid, k, {neighbours: rows,
-                                        laufer.z_min_cycle: RatCycle(dict(zip(ids, end)))})
-            probes[k] = ext, (laufer.laufer_rational(ext), end[-1] == 1)
-        return probes[k]
-
-    first = -(adj_self // det) - 1
-    for k in range(min(-2, first), first - 12, -1):
-        ext, verdict = probe(k)
-        if verdict[1] and verdict == probe(k - 1)[1] == probe(k - 2)[1]:
-            return ext
-    raise InternalError(f"no stable negative-definite extension found at {vid!r}")
+    ids = g.ids + (g.fresh_id("ext"),)
+    return _extended(g, vid, min(-2, first, -end[position]),
+                     {neighbours: tuple(rows) + (((position, 1),),),
+                      laufer.z_min_cycle: RatCycle(zip(ids, end + [1]))})

@@ -3,13 +3,15 @@
 Integers are serialised as strings so consumers never face 64-bit overflow;
 rationals are {"num", "den"} string pairs with positive denominator; cycle
 coefficients are arrays ordered like the graph's vertex list. Every
-top-level document carries the schema version.
+top-level document carries the schema version. `dumps` writes a document
+in the `indent=2` form of the standard library by itself, as that form
+sends `json.dumps` to its pure-Python encoder.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .classify import ClassificationReport, FullSheafFamily, SpecialnessRecord, VertexRecord
 from .cycles import RatCycle
@@ -24,7 +26,8 @@ SCHEMA_VERSION = "singlat/1"
 
 
 def encode_rational(q) -> dict:
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
@@ -164,5 +167,46 @@ def to_json(obj, graph: ResolutionGraph | None = None) -> str:
     return dumps(doc)
 
 
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """The text of `json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"`
+    for a document of dicts with string keys, lists, strings, booleans and
+    None; any other value, numbers included, raises TypeError."""
+    parts: list[str] = []
+    _write(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value, newline: str, parts: list[str]) -> None:
+    """Append the pieces of one value whose lines start after `newline`."""
+    if isinstance(value, str):
+        parts.append(encode_basestring(value))
+    elif value is None or value is True or value is False:
+        parts.append(_LITERALS[value])
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        separator, inner = "{" + newline + "  ", newline + "  "
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(separator + encode_basestring(key) + ": ")
+            _write(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            parts.append("[]")
+            return
+        separator, inner = "[" + newline + "  ", newline + "  "
+        for item in value:
+            parts.append(separator)
+            _write(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
 from .cycles import RatCycle, cycle_min
 from .errors import InternalError, PreconditionError
 from .graph import (ResolutionGraph, adjugate, cycle_vector, dual_coordinates, intersection_matrix,
-                    lattice_determinant, pairing_vector, per_graph, require_negative_definite)
+                    lattice_determinant, pairing_vector, per_graph, require_negative_definite,
+                    vector_cycle)
 
 __all__ = ["ClassElement", "ClassGroup", "class_group", "class_of",
            "reduced_numerators", "reduced_rep", "in_lipman_cone", "cycle_min"]
@@ -103,7 +103,7 @@ def class_group(g: ResolutionGraph) -> ClassGroup:
     factors = tuple(d[i] for i in positions)
     adj = adjugate(g)  # symmetric, so its row w is its column w
     numerators = tuple(tuple(sum(r[i] * a for r, a in zip(uinv, row)) for row in adj) for i in positions)
-    generators = tuple(RatCycle(zip(g.ids, (Fraction(x, det) for x in num))) for num in numerators)
+    generators = tuple(vector_cycle(g, num, det) for num in numerators)
     cg = ClassGroup(g, det, factors, generators, tuple(tuple(u[i]) for i in positions), numerators)
     for k, num in enumerate(numerators):
         expected = tuple(1 if j == k else 0 for j in range(len(factors)))
@@ -142,7 +142,7 @@ def reduced_numerators(cg: ClassGroup, h: ClassElement) -> list[int]:
 
 def reduced_rep(cg: ClassGroup, h: ClassElement) -> RatCycle:
     """The representative of a class with all coefficients in [0, 1)."""
-    return RatCycle(zip(cg.graph.ids, (Fraction(x, cg.order) for x in reduced_numerators(cg, h))))
+    return vector_cycle(cg.graph, reduced_numerators(cg, h), cg.order)
 
 
 def in_lipman_cone(g: ResolutionGraph, cycle: RatCycle) -> bool:

@@ -25,7 +25,7 @@ from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
 from .graph import (ResolutionGraph, canonical_cycle, chi, cycle_vector, diagonal,
                     dual_coordinates, induced_subgraph, neighbours, per_graph,
-                    require_negative_definite, sparse_pairings)
+                    require_negative_definite, sparse_pairings, vector_cycle)
 from .lattice import ClassElement, ClassGroup, reduced_numerators
 
 TieBreak = Callable[[tuple[str, ...]], str]
@@ -47,10 +47,13 @@ class ComputationSequence:
         return len(self.steps)
 
 
-def _climb(diag: list[int], rows, vec: list[int], scale: int, choose, cap: int):
+def _climb(diag: list[int], rows, vec: list[int], scale: int, choose, cap: int,
+           offset=()):
     """Laufer's loop on the form with the given diagonal and `neighbours`
     rows, from the cycle with integer numerators `vec` over `scale`; O(deg)
-    per step. Off-diagonal entries are nonnegative, so a step can only make
+    per step. `offset` holds (position, value times scale) pairs added to
+    the starting pairings: the pairings of a fixed cycle off the form.
+    Off-diagonal entries are nonnegative, so a step can only make
     neighbours positive and only the chosen vertex can stop being positive:
     a min-heap of the positive positions needs no lazy deletion, and its top
     is the lowest position. `choose` picks from the positive positions in
@@ -58,6 +61,8 @@ def _climb(diag: list[int], rows, vec: list[int], scale: int, choose, cap: int):
     times scale) pairs and the end's numerators over `scale`.
     """
     level = sparse_pairings(diag, rows, vec)
+    for i, value in offset:
+        level[i] += value
     end = list(vec)
     positive = [i for i, value in enumerate(level) if value > 0]  # sorted, so a heap
     steps = []
@@ -106,7 +111,7 @@ def _run_sequence(g: ResolutionGraph, start: RatCycle, tie_break: Optional[TieBr
     ids = g.ids
     return ComputationSequence(
         start, tuple(LauferStep(ids[i], Fraction(value, scale)) for i, value in steps),
-        RatCycle(zip(ids, (Fraction(x, scale) for x in end))))
+        vector_cycle(g, end, scale))
 
 
 # Generous fallback used only while the fundamental cycle itself is unknown.
@@ -125,8 +130,8 @@ def _fundamental_cycle_default(g: ResolutionGraph) -> ComputationSequence:
 def z_min_cycle(g: ResolutionGraph) -> RatCycle:
     """The fundamental cycle Z_min, the end of `fundamental_cycle(g)`.
 
-    A probe of `graph.extend_graph` is built knowing it from a warm start;
-    only this cycle is seeded, never the sequence `fundamental_cycle`
+    An extension from `graph.extend_graph` is built knowing it from a warm
+    start; only this cycle is seeded, never the sequence `fundamental_cycle`
     reports, whose start and steps differ.
     """
     return _fundamental_cycle_default(g).end
@@ -174,22 +179,41 @@ def laufer_rational(g: ResolutionGraph) -> bool:
     return g.is_tree and g.all_genus_zero and chi(g, z_min_cycle(g)) == 1
 
 
-def minimal_antinef_rep(g: ResolutionGraph, cg: ClassGroup, h: ClassElement,
-                        tie_break: Optional[TieBreak] = None) -> RatCycle:
-    """The unique minimal anti-nef cycle in the given class.
+@per_graph
+def _minimal_cycles(g: ResolutionGraph) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The graph's one table of minimal cycles: per class coordinates, the
+    numerators over det(-M) of the class's minimal anti-nef cycle under the
+    default policy. `minimal_numerators` fills it, one class at a time."""
+    return {}
 
-    Computed as the closure of the fractional representative, climbed in
-    numerators over det(-M); zero exactly for the zero class.
-    """
-    if cg.graph != g:
+
+def minimal_numerators(g: ResolutionGraph, cg: ClassGroup, h: ClassElement,
+                       tie_break: Optional[TieBreak] = None) -> tuple[int, ...]:
+    """The numerators over det(-M) of the class's minimal anti-nef cycle,
+    in vertex order: the closure of its reduced representative. Under the
+    default policy each class climbs once per graph; a tie-break policy
+    climbs afresh and leaves the table alone."""
+    if cg.graph is not g and cg.graph != g:
         raise PreconditionError("the class group given is not the one of this graph")
-    det = cg.order
-    _steps, end = _sequence(g, reduced_numerators(cg, h), det, tie_break)
+    table = _minimal_cycles(g)
+    if tie_break is None and h.coords in table:
+        return table[h.coords]
+    _steps, end = _sequence(g, reduced_numerators(cg, h), cg.order, tie_break)
     if h.is_zero and any(end):  # pragma: no cover - cross-check
         raise InternalError("the zero class produced a nonzero minimal cycle")
     if not h.is_zero and not any(end):  # pragma: no cover - cross-check
         raise InternalError("a nonzero class produced the zero cycle")
-    return RatCycle(zip(g.ids, (Fraction(x, det) for x in end)))
+    end = tuple(end)
+    if tie_break is None:
+        table[h.coords] = end
+    return end
+
+
+def minimal_antinef_rep(g: ResolutionGraph, cg: ClassGroup, h: ClassElement,
+                        tie_break: Optional[TieBreak] = None) -> RatCycle:
+    """The unique minimal anti-nef cycle in the given class; zero exactly
+    for the zero class. Read from `minimal_numerators`."""
+    return vector_cycle(g, minimal_numerators(g, cg, h, tie_break), cg.order)
 
 
 def h1_rational(g: ResolutionGraph, chern: RatCycle,
@@ -199,7 +223,13 @@ def h1_rational(g: ResolutionGraph, chern: RatCycle,
     the negated class. Independent of the vertex choices made."""
     if not laufer_rational(g):
         raise PreconditionError("the h1 sequence formula requires a rational graph")
-    vec, scale = cycle_vector(g, chern)
+    return h1_numerators(g, *cycle_vector(g, chern), tie_break)
+
+
+def h1_numerators(g: ResolutionGraph, vec: list[int], scale: int,
+                  tie_break: Optional[TieBreak] = None) -> int:
+    """`h1_rational` of the Chern class with numerators `vec` over `scale`,
+    on a graph already known to be rational."""
     dual_coordinates(g, vec, scale, "Chern class")
     steps, _end = _sequence(g, [-x for x in vec], scale, tie_break)
     return sum(value // scale - 1 for _, value in steps)
@@ -265,7 +295,7 @@ def minimally_elliptic_cycle(g: ResolutionGraph) -> RatCycle:
     require_negative_definite(g)
     if laufer_rational(g):
         raise PreconditionError("rational graphs have no minimally elliptic cycle")
-    z_min = fundamental_cycle(g).end
+    z_min = z_min_cycle(g)
     if chi(g, z_min) != 0:
         raise PreconditionError("graph is not elliptic: chi of the fundamental cycle is nonzero")
     cycle = canonical_cycle(_minimal_non_rational_subgraph(g))
@@ -313,7 +343,7 @@ def classify_singularity(g: ResolutionGraph) -> SingularityType:
     z_k = canonical_cycle(g)
     gorenstein = z_k.is_integral
     rational = laufer_rational(g)
-    z_min = fundamental_cycle(g).end
+    z_min = z_min_cycle(g)
     elliptic = (not rational) and chi(g, z_min) == 0
     cusp_shape = g.is_cycle_graph and g.all_genus_zero
 

@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,9 @@ from singlat import (PreconditionError, RatCycle, blow_up, catalog, class_group,
                      fundamental_cycle, minimal_antinef_rep, special_full_sheaves,
                      total_transform, wunram_table)
 from singlat.classify import FLAT_ALL, FLAT_EXACTLY_ONE, FLAT_UNKNOWN, FLAT_ZERO_KNOWN
+from singlat.cli import main
+from singlat.dsl import GraphDocument, serialize
+from singlat.lattice import reduced_numerators
 
 from conftest import graph
 
@@ -190,3 +194,26 @@ def test_blow_up_equivariance(z7, rational_corpus):
             rep = minimal_antinef_rep(g, cg, h)
             moved = total_transform(bmap, rep)
             assert minimal_antinef_rep(target, cg_new, class_of(cg_new, moved)) == moved
+
+
+def test_classify_climbs_each_minimal_cycle_once(rational_corpus, capsys, monkeypatch):
+    """One `classify` run reads every class's minimal cycle from one climb,
+    though both the family list and the per-vertex table ask for it."""
+    from singlat import laufer
+    graphs = [catalog("paper-z7"), catalog("A7"), catalog("D6"), *rational_corpus[:20]]
+    climb = laufer._climb
+    for g in graphs:
+        cg = class_group(g)
+        starts = {tuple(reduced_numerators(cg, h)): h for h in cg.elements()}
+        climbs = []
+        monkeypatch.setattr(laufer, "_climb", lambda diag, rows, vec, scale, *rest: (
+            climbs.append((tuple(vec), scale)) or climb(diag, rows, vec, scale, *rest)))
+        monkeypatch.setattr("sys.stdin", io.StringIO(serialize(GraphDocument(None, g.vertices,
+                                                                            g.edges))))
+        assert main(["classify", "-"]) == 0, capsys.readouterr().err
+        monkeypatch.undo()
+        counts = {h: 0 for h in cg.elements()}
+        for vec, scale in climbs:
+            if scale == cg.order and vec in starts:
+                counts[starts[vec]] += 1
+        assert counts.pop(cg.zero()) <= 1 and set(counts.values()) <= {1}, (g, counts)

@@ -87,6 +87,22 @@ def test_special_table(capsys):
     assert {r["vertex"] for r in specials} == {"E1", "E4"}
 
 
+@pytest.mark.parametrize("name, specials", [(f"A{n}", n) for n in range(50, 81, 10)]
+                         + [(f"D{n}", 3) for n in range(52, 81, 4)])
+def test_classify_and_special_on_long_a_and_d(capsys, name, specials):
+    """Middle vertices of A_n and the short arms of D_n need an extension
+    Euler number far below the first negative-definite one."""
+    code, out, err = run(capsys, "classify", "--catalog", name, "--format", "json")
+    assert code == 0, err
+    nonzero = [fam for fam in json.loads(out)["families"] if set(fam["class"]) != {"0"}]
+    assert sum(fam["special"] for fam in nonzero) == specials
+    code, out, err = run(capsys, "special", "--catalog", name, "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert sum(row["special"] for row in doc["classes"]) == specials
+    assert sum(row["special"] for row in doc["rows"]) == specials
+
+
 def test_special_refuses_cusp(capsys):
     code, _out, err = run(capsys, "special", "--catalog", "cusp-3x3")
     assert code == 2

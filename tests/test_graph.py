@@ -337,37 +337,58 @@ def test_schur_threshold_matches_bareiss(rational_corpus, negdef_corpus):
                 assert (k < -inv_self) == negdef, (g, vid, k)
 
 
+def _cold_verdicts(g, vid, euler):
+    """Multiplicity one of the new vertex and rationality, on an extension
+    built with no value seeded."""
+    ext = _glued(g, vid, euler)
+    return fundamental_cycle(ext).end.coefficient(ext.ids[-1]) == 1, laufer_rational(ext)
+
+
 def test_warm_probes_match_cold_fundamental_cycles(rational_corpus, negdef_corpus, monkeypatch):
+    """Each search builds exactly one extension, from one climb on g with no
+    cold sequence and no elimination, and seeds it with the cold Z_min."""
     graphs = _extension_graphs(rational_corpus, negdef_corpus)
     for g in graphs:  # the input graphs' own values, computed before counting
         fundamental_cycle(g)
         dual_basis(g)
-    probes, cold_runs, bareiss_runs = [], [], []
+    built, cold_runs, bareiss_runs = [], [], []
     extended, run_sequence = graph_module._extended, laufer._run_sequence
     monkeypatch.setattr(graph_module, "_extended",
-                        lambda *args: probes.append(extended(*args)) or probes[-1])
+                        lambda *args: built.append(extended(*args)) or built[-1])
     monkeypatch.setattr(laufer, "_run_sequence",
                         lambda *args: cold_runs.append(args[0]) or run_sequence(*args))
     count_eliminations(monkeypatch, bareiss_runs)
     returned = []
     for g in graphs:
         for vid in g.ids:
-            try:
-                returned.append(extend_graph(g, vid))
-            except InternalError:
-                pass
+            returned.append(extend_graph(g, vid))
+            assert built == returned, (g, vid)
     assert cold_runs == [] and bareiss_runs == []
     monkeypatch.undo()
-    assert len(probes) > 1500 and len(returned) > 500
-    for ext in probes:
+    assert len(returned) > 500
+    for ext in returned:
         fresh = ResolutionGraph(ext.vertices, ext.edges)
-        assert laufer.z_min_cycle(ext) == fundamental_cycle(ext).end, ext
+        assert laufer.z_min_cycle(ext) == fundamental_cycle(fresh).end, ext
         assert neighbours(ext) == neighbours(fresh)
         assert is_negative_definite(intersection_matrix(fresh))
-    for ext in returned:
         seq = fundamental_cycle(ext)
         assert seq.start == RatCycle.unit(ext.ids[0])
-        assert seq == fundamental_cycle(ResolutionGraph(ext.vertices, ext.edges))
+        assert seq == fundamental_cycle(fresh)
+
+
+def test_extension_where_the_reference_search_gives_up():
+    """The bounded reference search raises past its window on the middle of
+    A49 and the short arms of D52; the closed form's extension there gives
+    the new vertex multiplicity one, with the same verdicts one and two
+    values lower, and one value higher the multiplicity is above one."""
+    for name, vid in (("A49", "v25"), ("D52", "v51")):
+        g = catalog(name)
+        with pytest.raises(InternalError, match="no stable"):
+            reference_extend(g, vid)
+        k = extend_graph(g, vid).vertex("ext").euler
+        verdicts = [_cold_verdicts(g, vid, euler) for euler in (k, k - 1, k - 2)]
+        assert verdicts[0][0] and verdicts[0] == verdicts[1] == verdicts[2], (name, vid)
+        assert not _cold_verdicts(g, vid, k + 1)[0], (name, vid)
 
 
 def test_induced_subgraphs_are_known_negative_definite(negdef_corpus, monkeypatch):

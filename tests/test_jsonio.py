@@ -1,11 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from singlat import (InputError, RatCycle, catalog, class_group, classify_singularity,
                      flat_annotation, full_sheaf_classes_rational, fundamental_cycle,
                      verify_all)
-from singlat.jsonio import to_json
+from singlat.jsonio import dumps, to_json
 from singlat.schema import validate
 
 from conftest import graph
@@ -86,3 +88,31 @@ def test_byte_determinism():
 def test_unsupported_type():
     with pytest.raises(InputError):
         to_json(object())
+
+
+# Text with non-ASCII letters, quotes, backslashes and control characters.
+json_text = st.text(st.sampled_from(["a", "Z", "0", " ", "é", "χ", "Ω", "\u2028", "😀",
+                                     '"', "\\", "/", "\n", "\t", "\r", "\x00", "\x1f", "\x7f"]))
+json_documents = st.recursive(
+    st.one_of(json_text, st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(st.dictionaries(json_text, json_documents, max_size=5))
+def test_dumps_writes_the_standard_indented_form(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_dumps_of_empty_containers_and_literals():
+    doc = {"a": [], "b": {}, "c": [[], {}, [None, True, False]], "": {"\u00e9\"\\": "x\ny"}}
+    assert dumps(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    assert dumps({}) == "{}\n"
+
+
+@pytest.mark.parametrize("doc", [{"x": 1.5}, {"x": [0.0]}, {"x": 3}, {"x": (1,)}, {1: "x"},
+                                 {"x": {"y": object()}}])
+def test_dumps_refuses_numbers_and_other_types(doc):
+    with pytest.raises(TypeError):
+        dumps(doc)
