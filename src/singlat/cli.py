@@ -156,7 +156,8 @@ def cmd_sh(args) -> int:
     det = cg.order
     rows = []
     for h in cg.elements():
-        start, end = reduced_numerators(cg, h), minimal_numerators(g, cg, h)
+        start = reduced_numerators(cg, h)
+        end = minimal_numerators(g, cg, h, start=start)
         # each step of the climb from start to end adds det(-M) to one numerator
         rows.append((h, vector_cycle(g, start, det), vector_cycle(g, end, det),
                      (sum(end) - sum(start)) // det))

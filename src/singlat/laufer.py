@@ -188,17 +188,22 @@ def _minimal_cycles(g: ResolutionGraph) -> dict[tuple[int, ...], tuple[int, ...]
 
 
 def minimal_numerators(g: ResolutionGraph, cg: ClassGroup, h: ClassElement,
-                       tie_break: Optional[TieBreak] = None) -> tuple[int, ...]:
+                       tie_break: Optional[TieBreak] = None, *,
+                       start: Optional[list[int]] = None) -> tuple[int, ...]:
     """The numerators over det(-M) of the class's minimal anti-nef cycle,
     in vertex order: the closure of its reduced representative. Under the
     default policy each class climbs once per graph; a tie-break policy
-    climbs afresh and leaves the table alone."""
+    climbs afresh and leaves the table alone. A caller that already holds
+    `lattice.reduced_numerators(cg, h)` passes it as `start`, so a climb
+    does not derive it again."""
     if cg.graph is not g and cg.graph != g:
         raise PreconditionError("the class group given is not the one of this graph")
     table = _minimal_cycles(g)
     if tie_break is None and h.coords in table:
         return table[h.coords]
-    _steps, end = _sequence(g, reduced_numerators(cg, h), cg.order, tie_break)
+    if start is None:
+        start = reduced_numerators(cg, h)
+    _steps, end = _sequence(g, start, cg.order, tie_break)
     if h.is_zero and any(end):  # pragma: no cover - cross-check
         raise InternalError("the zero class produced a nonzero minimal cycle")
     if not h.is_zero and not any(end):  # pragma: no cover - cross-check

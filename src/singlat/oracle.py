@@ -6,23 +6,31 @@ and labelled as such. Anti-nef points are enumerated as nonnegative
 integer combinations of the dual cycles, which is exactly the anti-nef
 part of the dual lattice; minima per class therefore never consult the
 computation-sequence machinery they are meant to audit.
+
+Points are integer numerators over det(-M) in vertex order, from one
+enumerator (`_antinef_numerators`): the box checks of `verify_all` compare,
+shift and take minima on those tuples, and a fast-path cycle becomes
+numerators once. A `RatCycle` is built only at the public API
+(`antinef_points`, `brute_lipman_minima`, `brute_fundamental_cycle`), for a
+`chi` evaluation, and in failure messages.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .cycles import RatCycle, cycle_min
+from .cycles import RatCycle
 from .errors import InputError, InternalError, PreconditionError
-from .graph import (ResolutionGraph, adjugate, blow_up, canonical_cycle, chi, dual_basis,
-                    extend_graph, intersection_matrix, lattice_determinant, pairing,
-                    pairing_vector, total_transform, require_negative_definite)
-from .lattice import ClassElement, class_group, class_of, in_lipman_cone, reduced_rep
+from .graph import (ResolutionGraph, adjugate, blow_up, canonical_cycle, chi, cycle_vector,
+                    diagonal, dual_basis, extend_graph, intersection_matrix, lattice_determinant,
+                    neighbours, pairing, pairing_vector, require_negative_definite,
+                    sparse_pairings, total_transform, vector_cycle)
+from .lattice import ClassElement, class_group, class_of, reduced_rep
 from .laufer import (antinef_closure, fundamental_cycle, h1_rational,
                      laufer_rational, minimal_antinef_rep)
 
@@ -86,73 +94,79 @@ def affordable_chi_box(g: ResolutionGraph, scale: int = 3) -> tuple[Box, int]:
         "this graph is too large for the exhaustive chi scan")
 
 
-def antinef_points(g: ResolutionGraph, box: Optional[Box] = None) -> list[tuple[ClassElement, RatCycle]]:
-    """Every anti-nef dual-lattice point inside the box, with its class.
+def _antinef_numerators(g: ResolutionGraph, box: Optional[Box] = None
+                        ) -> list[tuple[ClassElement, tuple[int, ...]]]:
+    """Every anti-nef dual-lattice point inside the box with its class, the
+    point as numerators over det(-M) in vertex order.
 
     Enumerates nonnegative combinations of the dual cycles depth-first in
     lexicographic order; partial sums only grow, so pruning against the box
-    is sound. Integer arithmetic throughout (coefficients are scaled by the
-    lattice determinant).
+    is sound. The one enumeration behind `verify_all` and the public
+    wrappers below.
     """
     require_negative_definite(g)
     box = _resolve_box(g, box)
     det = lattice_determinant(g)
     ids = g.ids
     n = len(ids)
-    dual_num = adjugate(g)  # det * (E_v^* coefficient at w), as adj(-M) is symmetric
+    dual_num = adjugate(g)  # row v: det * (E_v^* coefficient at w), as adj(-M) is symmetric
     limits = [box.bound(vid) * det for vid in ids]
     cg = class_group(g)
-    dual_classes = [class_of(cg, dual) for dual in dual_basis(g).values()]
+    factors = cg.factors
+    dual_coords = [class_of(cg, dual).coords for dual in dual_basis(g).values()]
+    out: list[tuple[ClassElement, tuple[int, ...]]] = []
 
-    out: list[tuple[ClassElement, RatCycle]] = []
-    partial = [[0] * n for _ in range(n + 1)]  # partial[k] = sum over first k generators
-
-    def rec(v: int, cls: ClassElement):
+    def rec(v: int, point: tuple[int, ...], cls: ClassElement):
         if v == n:
-            coeffs = {ids[w]: Fraction(partial[n][w], det) for w in range(n)}
-            out.append((cls, RatCycle(coeffs)))
+            out.append((cls, point))
             return
-        base = partial[v]
-        count = 0
-        current = cls
-        while True:
-            row = [base[w] + count * dual_num[v][w] for w in range(n)]
-            if any(row[w] > limits[w] for w in range(n)):
-                break
-            partial[v + 1] = row
-            rec(v + 1, current)
-            count += 1
-            current = cg.add(current, dual_classes[v])
+        column, step = dual_num[v], dual_coords[v]
+        while all(map(operator.le, point, limits)):
+            rec(v + 1, point, cls)
+            point = tuple(map(operator.add, point, column))
+            cls = ClassElement(tuple((a + b) % d for a, b, d in zip(cls.coords, step, factors)))
 
-    rec(0, cg.zero())
+    rec(0, (0,) * n, cg.zero())
     return out
 
 
-def _by_class(points) -> dict[ClassElement, list[RatCycle]]:
+def _by_class(points) -> dict[ClassElement, list[tuple[int, ...]]]:
     """Points grouped by class, each group in enumeration order."""
-    by_class: dict[ClassElement, list[RatCycle]] = {}
+    by_class: dict[ClassElement, list[tuple[int, ...]]] = {}
     for cls, point in points:
         by_class.setdefault(cls, []).append(point)
     return by_class
 
 
-def _class_minima(by_class) -> dict[ClassElement, RatCycle]:
-    return {cls: functools.reduce(cycle_min, points) for cls, points in by_class.items()}
+def _minimum(points) -> tuple[int, ...]:
+    """Coefficient-wise minimum of a nonempty list of numerator tuples."""
+    return tuple(map(min, zip(*points)))
 
 
-def _least_nonzero_integral(zero_points: list[RatCycle]) -> Optional[RatCycle]:
-    candidates = [p for p in zero_points if p and p.is_integral]
+def _least_nonzero_integral(zero_points, det: int) -> Optional[tuple[int, ...]]:
+    """The least nonzero integral point of the zero class, or None."""
+    candidates = [p for p in zero_points if any(p) and not any(x % det for x in p)]
     if not candidates:
         return None
-    minimum = functools.reduce(cycle_min, candidates)
+    minimum = _minimum(candidates)
     if minimum not in candidates:  # pragma: no cover - monoid closure under min
         raise InternalError("integral anti-nef points are not closed under minimum")
     return minimum
 
 
+def antinef_points(g: ResolutionGraph, box: Optional[Box] = None) -> list[tuple[ClassElement, RatCycle]]:
+    """Every anti-nef dual-lattice point inside the box, with its class, in
+    enumeration order."""
+    points = _antinef_numerators(g, box)
+    det = lattice_determinant(g)
+    return [(cls, vector_cycle(g, point, det)) for cls, point in points]
+
+
 def brute_lipman_minima(g: ResolutionGraph, box: Optional[Box] = None) -> dict[ClassElement, RatCycle]:
     """Coefficient-wise minimum of the boxed anti-nef points, per class."""
-    return _class_minima(_by_class(antinef_points(g, box)))
+    by_class = _by_class(_antinef_numerators(g, box))
+    det = lattice_determinant(g)
+    return {cls: vector_cycle(g, _minimum(group), det) for cls, group in by_class.items()}
 
 
 def brute_lipman_min(g: ResolutionGraph, h: ClassElement,
@@ -225,8 +239,10 @@ def brute_min_chi(g: ResolutionGraph, box: Optional[Box] = None) -> tuple[int, R
 
 def brute_fundamental_cycle(g: ResolutionGraph, box: Optional[Box] = None) -> Optional[RatCycle]:
     """Minimal nonzero integral anti-nef cycle found inside the box."""
-    zero_points = _by_class(antinef_points(g, box)).get(class_group(g).zero(), [])
-    return _least_nonzero_integral(zero_points)
+    zero_points = _by_class(_antinef_numerators(g, box)).get(class_group(g).zero(), [])
+    det = lattice_determinant(g)
+    least = _least_nonzero_integral(zero_points, det)
+    return None if least is None else vector_cycle(g, least, det)
 
 
 @dataclass(frozen=True)
@@ -278,6 +294,7 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
             checks.append(CheckResult(name, False, str(exc) or "assertion failed"))
 
     ids = g.ids
+    det = lattice_determinant(g)
     duals = dual_basis(g)
     cg = class_group(g)
     z_min = fundamental_cycle(g).end
@@ -309,7 +326,6 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         return "quadratic identity holds on sampled pairs"
 
     def check_class_order():
-        det = lattice_determinant(g)
         assert cg.order == det, f"order {cg.order} != determinant {det}"
         product = math.prod(cg.factors)
         assert product == det, f"factor product {product} != determinant {det}"
@@ -342,11 +358,29 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
             assert diff.is_integral, f"dual {v} minus its reduced representative is not integral"
         return f"{cg.order} classes reduced"
 
-    # one enumeration feeds every check that compares against the box
-    points = antinef_points(g, box)
+    # one enumeration feeds every check that compares against the box; its
+    # points are numerators over det, and a RatCycle is built only for chi
+    # and for a failure message
+    points = _antinef_numerators(g, box)
     by_class = _by_class(points)
     zero_points = by_class.get(cg.zero(), [])
-    minima = _class_minima(by_class)
+    minima = {cls: _minimum(group) for cls, group in by_class.items()}
+    limits = [box.bound(v) * det for v in ids]
+    diag, rows = diagonal(g), neighbours(g)
+
+    def as_cycle(point: tuple[int, ...]) -> RatCycle:
+        return vector_cycle(g, point, det)
+
+    def over_det(cycle: RatCycle) -> Optional[tuple[int, ...]]:
+        # a fast-path cycle over det, or None off that grid: then it is no
+        # dual-lattice cycle and equals no enumerated point
+        vec, denominator = cycle_vector(g, cycle)
+        if det % denominator:
+            return None
+        return tuple(x * (det // denominator) for x in vec)
+
+    def antinef(point) -> bool:
+        return all(p <= 0 for p in sparse_pairings(diag, rows, point))
 
     def require_in_box(cycle: RatCycle, h: ClassElement) -> None:
         # a fast-path cycle outside the box cannot be audited by it: that is
@@ -363,8 +397,8 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
             require_in_box(rep, h)
             brute = minima.get(h)
             assert brute is not None, f"box missed class {h.coords} entirely"
-            assert rep == brute, \
-                f"class {h.coords}: sequence gives {rep}, enumeration gives {brute}"
+            assert over_det(rep) == brute, \
+                f"class {h.coords}: sequence gives {rep}, enumeration gives {as_cycle(brute)}"
         return f"agreement on all {cg.order} classes"
 
     def check_cone_vertex():
@@ -372,17 +406,21 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         # + an anti-nef integral cycle) fails in general; see the ledgered
         # counterexamples. What is asserted: the shifted monoid stays inside
         # the class, and the minimal cycle sits below everything.
-        zero_part = set(zero_points)
         for h in cg.elements():
             rep = minimal_antinef_rep(g, cg, h)
-            actual = set(by_class.get(h, ()))
-            for s in zero_part:
-                shifted = rep + s
-                if box.contains(shifted):
+            vec = over_det(rep)
+            # off the grid, rep + 0 is already outside every class
+            assert vec is not None, f"{rep} + 0 escaped the anti-nef part of class {h.coords}"
+            group = by_class.get(h, [])
+            actual = set(group)
+            for s in zero_points:
+                shifted = tuple(map(operator.add, vec, s))
+                if all(0 <= x <= b for x, b in zip(shifted, limits)):
                     assert shifted in actual, \
-                        f"{rep} + {s} escaped the anti-nef part of class {h.coords}"
-            for p in actual:
-                assert rep <= p, f"{p} in class {h.coords} is not above the minimal cycle"
+                        f"{rep} + {as_cycle(s)} escaped the anti-nef part of class {h.coords}"
+            for p in group:
+                assert all(map(operator.le, vec, p)), \
+                    f"{as_cycle(p)} in class {h.coords} is not above the minimal cycle"
         return "minimal cycle + monoid stays in each class; minimality confirmed"
 
     def check_closure_endpoints():
@@ -394,17 +432,21 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         for start in starts:
             end = antinef_closure(g, start).end
             require_in_box(end, class_of(cg, start))
-            eligible = [p for cls, p in points if p >= start and (p - start).is_integral]
-            assert end in eligible, f"closure endpoint of {start} escaped the box"
-            best = functools.reduce(cycle_min, eligible)
-            assert best == end, \
-                f"closure from {start} gave {end}, enumeration minimum is {best}"
+            low = over_det(start)
+            eligible = [p for _cls, p in points
+                        if all(x >= y and (x - y) % det == 0 for x, y in zip(p, low))]
+            end_vec = over_det(end)
+            assert end_vec in eligible, f"closure endpoint of {start} escaped the box"
+            best = _minimum(eligible)
+            assert best == end_vec, \
+                f"closure from {start} gave {end}, enumeration minimum is {as_cycle(best)}"
         return f"{len(starts)} starts confirmed against the enumeration"
 
     def check_fundamental():
-        brute = _least_nonzero_integral(zero_points)
+        brute = _least_nonzero_integral(zero_points, det)
         assert brute is not None, "box missed every nonzero integral anti-nef cycle"
-        assert brute == z_min, f"sequence gives {z_min}, enumeration gives {brute}"
+        assert brute == over_det(z_min), \
+            f"sequence gives {z_min}, enumeration gives {as_cycle(brute)}"
         assert all(z_min.coefficient(v) >= 1 for v in ids), "a coefficient is below one"
         return f"fundamental cycle confirmed: {z_min}"
 
@@ -449,7 +491,7 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
             neg_class = cg.neg(h)
             end = minima.get(neg_class)  # its minimal cycle is in the box (check_minimal_reps)
             assert end is not None, f"box missed class {neg_class.coords}"
-            expected = chi(g, -rep) - chi(g, end)
+            expected = chi(g, -rep) - chi(g, as_cycle(end))
             got = h1_rational(g, rep)
             assert got == expected, \
                 f"class {h.coords}: h1 sequence value {got}, chi difference {expected}"
@@ -460,36 +502,38 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         for h, group in by_class.items():
             for _ in range(min(10, len(group))):
                 a, b = rng.choice(group), rng.choice(group)
-                m = cycle_min(a, b)
-                assert in_lipman_cone(g, m), f"min of two anti-nef cycles of {h.coords} is not anti-nef"
-                assert (a - b).is_integral, "two points of one class differ non-integrally"
+                assert antinef(tuple(map(min, a, b))), \
+                    f"min of two anti-nef cycles of {h.coords} is not anti-nef"
+                assert all((x - y) % det == 0 for x, y in zip(a, b)), \
+                    "two points of one class differ non-integrally"
         return "sampled minima stay anti-nef within each class"
 
     def check_monoid():
-        integral = [p for p in zero_points if p.is_integral]
+        integral = [p for p in zero_points if not any(x % det for x in p)]
         for p in integral:
-            if p:
-                assert all(p.coefficient(v) > 0 for v in ids), \
-                    f"nonzero integral anti-nef cycle {p} has a zero coefficient"
+            if any(p):
+                assert all(x > 0 for x in p), \
+                    f"nonzero integral anti-nef cycle {as_cycle(p)} has a zero coefficient"
         rng = random.Random(VERIFY_SEED + 4)
         for _ in range(10):
             a, b = rng.choice(integral), rng.choice(integral)
-            assert in_lipman_cone(g, a + b), "sum of integral anti-nef cycles is not anti-nef"
+            assert antinef(tuple(map(operator.add, a, b))), \
+                "sum of integral anti-nef cycles is not anti-nef"
         return f"{len(integral)} integral points checked"
 
     def check_blow_up():
-        det = lattice_determinant(g)
         loci = [ids[0]]
         if g.edges:
             loci.append(g.edges[0])
+        sample = ([RatCycle.unit(v) for v in ids] + [z_min, z_k] + [duals[v] for v in ids])[:6]
         for locus in loci:
             target, bmap = blow_up(g, locus)
             assert lattice_determinant(target) == det, f"determinant changed at locus {locus!r}"
-            sample = [RatCycle.unit(v) for v in ids] + [z_min, z_k] + [duals[v] for v in ids]
-            for a in sample[:6]:
-                for b in sample[:6]:
-                    assert pairing(target, total_transform(bmap, a), total_transform(bmap, b)) \
-                        == pairing(g, a, b), f"pairing not preserved at locus {locus!r}"
+            images = [total_transform(bmap, a) for a in sample]
+            for a, image_a in zip(sample, images):
+                for b, image_b in zip(sample, images):
+                    assert pairing(target, image_a, image_b) == pairing(g, a, b), \
+                        f"pairing not preserved at locus {locus!r}"
         return f"{len(loci)} loci: determinant and pairings preserved"
 
     def check_extension():

@@ -351,3 +351,60 @@ def test_one_elimination_per_input_graph(capsys, tmp_path, monkeypatch):
             code, _, err = run(capsys, cmd, str(path), "--format", fmt)
             assert code == 0, err
             assert sum(map(runs.count, forms)) == 1, (cmd, g, fmt, runs)
+
+
+Z7_CHECKS = (
+    ("dual-basis-pairings", "6^2 pairings exact"),
+    ("canonical-cycle-adjunction", "adjunction residuals all zero"),
+    ("chi-quadratic", "quadratic identity holds on sampled pairs"),
+    ("class-group-order", "order 7, factors [7]"),
+    ("class-generator-orders", "1 generator orders match"),
+    ("class-homomorphism", "class map additive on sampled pairs"),
+    ("reduced-representatives", "7 classes reduced"),
+    ("minimal-cycles-vs-enumeration", "agreement on all 7 classes"),
+    ("class-cone-vertex", "minimal cycle + monoid stays in each class; minimality confirmed"),
+    ("closure-endpoints-vs-enumeration", "4 starts confirmed against the enumeration"),
+    ("fundamental-cycle-vs-enumeration",
+     "fundamental cycle confirmed: E1 + 2*E2 + 2*E3 + E4 + 3*c + 2*f"),
+    ("sequence-path-independence", "endpoints stable under randomized tie-breaking"),
+    ("rationality-chi-criterion", "bounded min chi = 1 at f (box scale {scale})"),
+    ("specialness-triple-agreement", "triple agreement on 6 classes; special: [(3,), (6,)]"),
+    ("h1-chi-formula", "sequence h1 equals the chi difference on every class"),
+    ("lipman-min-closure", "sampled minima stay anti-nef within each class"),
+    ("monoid-positivity", "{integral} integral points checked"),
+    ("blow-up-invariance", "2 loci: determinant and pairings preserved"),
+    ("extension-stability", "stable extension at 'E1' with Euler number -2"),
+)
+
+
+@pytest.mark.parametrize("scale, integral", ((2, 7), (3, 21)))
+def test_verify_paper_z7_transcript_is_pinned(capsys, scale, integral):
+    checks = [(name, detail.format(scale=scale, integral=integral)) for name, detail in Z7_CHECKS]
+    code, out, err = run(capsys, "verify", "--catalog", "paper-z7", "--box", str(scale))
+    assert (code, err) == (0, "")
+    assert out == "".join(f"PASS  {name}: {detail}\n" for name, detail in checks) + "PASS  overall\n"
+    code, out, err = run(capsys, "verify", "--catalog", "paper-z7", "--box", str(scale),
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps({
+        "schema": "singlat/1", "type": "verification",
+        "checks": [{"name": name, "passed": True, "detail": detail} for name, detail in checks],
+        "passed": True}, indent=2) + "\n"
+
+
+def test_sh_derives_each_reduced_representative_once(capsys, monkeypatch):
+    from singlat import cli, laufer, lattice
+    calls = []
+    reduced = lattice.reduced_numerators
+
+    def counting(cg, h):
+        calls.append(h)
+        return reduced(cg, h)
+
+    monkeypatch.setattr(cli, "reduced_numerators", counting)
+    monkeypatch.setattr(laufer, "reduced_numerators", counting)
+    for name, order in (("A4", 5), ("paper-z7", 7), ("D6", 4)):
+        calls.clear()
+        code, doc, _ = run_json(capsys, "sh", "--catalog", name)
+        assert code == 0 and len(doc["rows"]) == order
+        assert len(calls) == len(set(calls)) == order

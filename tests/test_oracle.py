@@ -165,13 +165,13 @@ VERIFY_CHECKS = (
 def test_verify_all_enumerates_once(z7, monkeypatch):
     import singlat.oracle as oracle
     calls = []
-    original = oracle.antinef_points
+    original = oracle._antinef_numerators
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "antinef_points", counting)
+    monkeypatch.setattr(oracle, "_antinef_numerators", counting)
     transcript = verify_all(z7)
     assert len(calls) == 1
     assert tuple(c.name for c in transcript.checks) == VERIFY_CHECKS
@@ -227,8 +227,8 @@ def test_cycle_inside_the_box_missed_by_the_enumeration_still_fails(z7, monkeypa
     from singlat import oracle
     cg = class_group(z7)
     missed = class_of(cg, dual_basis(z7)["E1"])
-    enumerate_points = oracle.antinef_points
-    monkeypatch.setattr(oracle, "antinef_points", lambda g, box: [
+    enumerate_points = oracle._antinef_numerators
+    monkeypatch.setattr(oracle, "_antinef_numerators", lambda g, box: [
         (cls, point) for cls, point in enumerate_points(g, box) if cls != missed])
     transcript = verify_all(z7)
     failed = {c.name: c.detail for c in transcript.checks if not c.passed}
@@ -248,3 +248,146 @@ def test_box_scale_below_one_is_refused_through_the_api():
             affordable_chi_box(catalog("A1"), scale)
         assert str(exc.value) == "box scale must be a positive integer"
     assert affordable_chi_box(catalog("A1"), 1)[1] == 1
+
+
+def reference_antinef_points(g, box):
+    """The enumeration as it was before the integer kernel: each point a
+    `RatCycle` of `Fraction`s, each class by `ClassGroup.add`."""
+    from singlat.graph import adjugate, lattice_determinant
+    det = lattice_determinant(g)
+    ids = g.ids
+    n = len(ids)
+    dual_num = adjugate(g)
+    limits = [box.bound(vid) * det for vid in ids]
+    cg = class_group(g)
+    dual_classes = [class_of(cg, dual) for dual in dual_basis(g).values()]
+    out = []
+    partial = [[0] * n for _ in range(n + 1)]
+
+    def rec(v, cls):
+        if v == n:
+            out.append((cls, RatCycle({ids[w]: Fraction(partial[n][w], det) for w in range(n)})))
+            return
+        base = partial[v]
+        count = 0
+        current = cls
+        while True:
+            row = [base[w] + count * dual_num[v][w] for w in range(n)]
+            if any(row[w] > limits[w] for w in range(n)):
+                break
+            partial[v + 1] = row
+            rec(v + 1, current)
+            count += 1
+            current = cg.add(current, dual_classes[v])
+
+    rec(0, cg.zero())
+    return out
+
+
+def small_catalog_graphs():
+    from singlat import dsl
+    names = [name for name in dsl.catalog_names() if "<" not in name]
+    names += [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)]
+    return [g for g in map(catalog, names) if len(g.vertices) <= 8]
+
+
+@pytest.mark.parametrize("scale", (1, 2, 3))
+def test_integer_kernel_replays_the_reference_enumeration(scale, rational_corpus, negdef_corpus):
+    import functools
+
+    from singlat import cycle_min, oracle
+    from singlat.graph import lattice_determinant, vector_cycle
+
+    for g in rational_corpus + negdef_corpus + small_catalog_graphs():
+        box = Box.for_graph(g, scale)
+        want = reference_antinef_points(g, box)
+        det = lattice_determinant(g)
+        got = oracle._antinef_numerators(g, box)
+        assert [(cls, vector_cycle(g, point, det)) for cls, point in got] == want
+        assert antinef_points(g, box) == want
+        groups = {}
+        for cls, point in want:
+            groups.setdefault(cls, []).append(point)
+        minima = {cls: RatCycle({v: min(p.coefficient(v) for p in group) for v in g.ids})
+                  for cls, group in groups.items()}
+        assert brute_lipman_minima(g, box) == minima
+        integral = [p for p in groups[class_group(g).zero()] if p and p.is_integral]
+        least = functools.reduce(cycle_min, integral) if integral else None
+        assert brute_fundamental_cycle(g, box) == least
+
+
+def _shifted(original, shift):
+    """A fast path whose cycles come back moved by `shift(cycle)`."""
+    return lambda *args, **kwargs: shift(original(*args, **kwargs))
+
+
+def _failed(g):
+    return {c.name: c.detail for c in verify_all(g).checks if not c.passed}
+
+
+@pytest.fixture()
+def z7_class(z7):
+    """A nonzero class of paper-z7 and its minimal cycle, the dual cycle of E4."""
+    duals = dual_basis(z7)
+    return class_of(class_group(z7), duals["E2"]), duals["E4"]
+
+
+def test_minimal_cycle_moved_up_fails_the_minimal_and_cone_checks(z7, z7_class, monkeypatch):
+    from singlat import oracle
+    h, least = z7_class
+    z_min = fundamental_cycle(z7).end
+    wrong = least + z_min  # anti-nef, in the class and in the box, but not least
+    monkeypatch.setattr(oracle, "minimal_antinef_rep", _shifted(
+        oracle.minimal_antinef_rep, lambda rep: wrong if rep == least else rep))
+    failed = _failed(z7)
+    assert failed["minimal-cycles-vs-enumeration"] == \
+        f"class {h.coords}: sequence gives {wrong}, enumeration gives {least}"
+    below = next(p for cls, p in antinef_points(z7) if cls == h and not wrong <= p)
+    assert failed["class-cone-vertex"] == \
+        f"{below} in class {h.coords} is not above the minimal cycle"
+    assert "closure-endpoints-vs-enumeration" not in failed
+
+
+def test_minimal_cycle_off_the_cone_fails_the_cone_check(z7, z7_class, monkeypatch):
+    from singlat import oracle
+    h, least = z7_class
+    wrong = least + RatCycle.unit("E1")  # in the class and the box, not anti-nef
+    monkeypatch.setattr(oracle, "minimal_antinef_rep", _shifted(
+        oracle.minimal_antinef_rep, lambda rep: wrong if rep == least else rep))
+    failed = _failed(z7)
+    assert failed["minimal-cycles-vs-enumeration"] == \
+        f"class {h.coords}: sequence gives {wrong}, enumeration gives {least}"
+    assert failed["class-cone-vertex"] == \
+        f"{wrong} + 0 escaped the anti-nef part of class {h.coords}"
+
+
+def test_minimal_cycle_off_the_dual_lattice_fails_the_cone_check(monkeypatch):
+    # cusp-3x3 is not rational, so no h1 check refuses the cycle first
+    from singlat import oracle
+    cusp = catalog("cusp-3x3")
+    wrong = RatCycle({"E1": Fraction(1, 3)})  # off the 1/16 grid of the dual lattice
+    monkeypatch.setattr(oracle, "minimal_antinef_rep", _shifted(
+        oracle.minimal_antinef_rep, lambda rep: rep or wrong))
+    failed = _failed(cusp)
+    zero = class_group(cusp).zero().coords
+    assert failed["minimal-cycles-vs-enumeration"] == \
+        f"class {zero}: sequence gives {wrong}, enumeration gives 0"
+    assert failed["class-cone-vertex"] == f"{wrong} + 0 escaped the anti-nef part of class {zero}"
+
+
+def test_closure_endpoint_moved_fails_the_closure_check(z7, monkeypatch):
+    import dataclasses
+
+    from singlat import oracle
+    z_min = fundamental_cycle(z7).end
+    closure = oracle.antinef_closure
+    for shift, message in (
+            (z_min, "closure from E1 gave {moved}, enumeration minimum is {end}"),
+            (RatCycle.unit("E1"), "closure endpoint of E1 escaped the box"),
+            (RatCycle({"E1": Fraction(1, 2)}), "closure endpoint of E1 escaped the box")):
+        monkeypatch.setattr(oracle, "antinef_closure", _shifted(
+            closure, lambda seq: dataclasses.replace(seq, end=seq.end + shift)))
+        failed = _failed(z7)
+        moved = z_min + shift  # the closure from E1 ends at Z_min
+        assert failed["closure-endpoints-vs-enumeration"] == message.format(moved=moved, end=z_min)
+        assert "minimal-cycles-vs-enumeration" not in failed
