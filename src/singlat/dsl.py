@@ -16,30 +16,35 @@ byte-deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycles import RatCycle
 from .errors import InputError, ParseError
 from .graph import ResolutionGraph, Vertex, dual_cycle
+from .record import Record
 
 _TOKEN = re.compile(r"\S+")
 _ID = re.compile(r"^[A-Za-z0-9_~+\-.']+$")
 
 
-@dataclass(frozen=True)
-class CycleDef:
-    name: str
-    basis: str  # "E" or "Edual"
-    coeffs: tuple[tuple[str, Fraction], ...]
+class CycleDef(Record):
+    __slots__ = ("name", "basis", "coeffs")
+
+    def __init__(self, name: str, basis: str, coeffs: tuple[tuple[str, Fraction], ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "basis", basis)  # "E" or "Edual"
+        object.__setattr__(self, "coeffs", coeffs)
 
 
-@dataclass(frozen=True)
-class GraphDocument:
-    name: str | None
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[str, str], ...]
-    cycles: tuple[CycleDef, ...] = ()
+class GraphDocument(Record):
+    __slots__ = ("name", "vertices", "edges", "cycles")
+
+    def __init__(self, name: str | None, vertices: tuple[Vertex, ...],
+                 edges: tuple[tuple[str, str], ...], cycles: tuple[CycleDef, ...] = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "cycles", cycles)
 
     def graph(self) -> ResolutionGraph:
         return ResolutionGraph(self.vertices, self.edges)

@@ -15,34 +15,34 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Union
 
 from . import linalg
 from .cycles import RatCycle
 from .errors import InputError, InternalError, PreconditionError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: str
-    euler: int
-    genus: int = 0
+class Vertex(Record):
+    __slots__ = ("id", "euler", "genus")
+
+    def __init__(self, id: str, euler: int, genus: int = 0):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "genus", genus)
 
 
-@dataclass(frozen=True)
-class ResolutionGraph:
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[str, str], ...] = ()
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # The vertex ids in order and each id's position, built once.
-    _ids: tuple = field(init=False, repr=False, compare=False)
-    _position: dict = field(init=False, repr=False, compare=False)
+class ResolutionGraph(Record):
+    # `_memo` holds the `per_graph` values; `_ids` and `_position` are the
+    # vertex ids in order and each id's position, built once
+    __slots__ = ("vertices", "edges", "_memo", "_ids", "_position", "__weakref__")
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple((str(u), str(v)) for u, v in self.edges))
+    def __init__(self, vertices: tuple[Vertex, ...], edges: tuple[tuple[str, str], ...] = ()):
+        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "edges", tuple((str(u), str(v)) for u, v in edges))
+        object.__setattr__(self, "_memo", {})
         if not self.vertices:
             raise InputError("a resolution graph needs at least one vertex")
         position = {}
@@ -193,14 +193,14 @@ def induced_subgraph(g: ResolutionGraph, keep) -> ResolutionGraph:
                     {_negative_definite: True} if _negative_definite(g) else {})
 
 
-@dataclass(frozen=True)
-class IntersectionMatrix:
-    ids: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
-    _position: dict = field(init=False, repr=False, compare=False)
+class IntersectionMatrix(Record):
+    __slots__ = ("ids", "rows", "_position")
+    _fields = ("ids", "rows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_position", {vid: i for i, vid in enumerate(self.ids)})
+    def __init__(self, ids: tuple[str, ...], rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_position", {vid: i for i, vid in enumerate(ids)})
 
     def entry(self, u: str, v: str) -> int:
         return self.rows[_lookup(self._position, u)][_lookup(self._position, v)]
@@ -209,14 +209,17 @@ class IntersectionMatrix:
         return tuple(tuple(-x for x in row) for row in self.rows)
 
 
-@dataclass(frozen=True)
-class BlowUpMap:
+class BlowUpMap(Record):
     """Total-transform data for a single blow-up."""
 
-    source: ResolutionGraph
-    target: ResolutionGraph
-    locus: Union[str, tuple[str, str]]
-    new_id: str
+    __slots__ = ("source", "target", "locus", "new_id")
+
+    def __init__(self, source: ResolutionGraph, target: ResolutionGraph,
+                 locus: Union[str, tuple[str, str]], new_id: str):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "locus", locus)
+        object.__setattr__(self, "new_id", new_id)
 
 
 @per_graph

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from . import linalg
 from .cycles import RatCycle, cycle_min
@@ -19,6 +18,7 @@ from .errors import InternalError, PreconditionError
 from .graph import (ResolutionGraph, adjugate, cycle_vector, dual_coordinates, intersection_matrix,
                     lattice_determinant, pairing_vector, per_graph, require_negative_definite,
                     vector_cycle)
+from .record import Record
 
 __all__ = ["ClassElement", "ClassGroup", "class_group", "class_of",
            "reduced_numerators", "reduced_rep", "in_lipman_cone", "cycle_min"]
@@ -27,28 +27,43 @@ __all__ = ["ClassElement", "ClassGroup", "class_group", "class_of",
 MAX_ENUMERATED_CLASSES = 100_000
 
 
-@dataclass(frozen=True)
-class ClassElement:
+class ClassElement(Record):
     """Residue coordinates with respect to the invariant factors."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]):
+        object.__setattr__(self, "coords", coords)
+
+    # the key of the oracle's per-class tables, compared and hashed once per
+    # enumerated point: spelt out, as the generic record methods cost more
+    def __eq__(self, other):
+        return self.coords == other.coords if other.__class__ is ClassElement else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
 
-@dataclass(frozen=True)
-class ClassGroup:
+class ClassGroup(Record):
     """The quotient of the dual lattice by the integral lattice."""
 
-    graph: ResolutionGraph
-    order: int
-    factors: tuple[int, ...]            # invariant factors > 1, divisibility chain
-    generators: tuple[RatCycle, ...]    # one dual-lattice cycle per factor
-    _u_rows: tuple[tuple[int, ...], ...]  # the rows of U at the factors
-    # Per generator, its coefficients times det(-M) (= `order`), in vertex order.
-    _numerators: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    __slots__ = ("graph", "order", "factors", "generators", "_u_rows", "_numerators")
+    _fields = ("graph", "order", "factors", "generators", "_u_rows")
+
+    def __init__(self, graph: ResolutionGraph, order: int, factors: tuple[int, ...],
+                 generators: tuple[RatCycle, ...], _u_rows: tuple[tuple[int, ...], ...],
+                 _numerators: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "factors", factors)  # invariant factors > 1, divisibility chain
+        object.__setattr__(self, "generators", generators)  # one dual-lattice cycle per factor
+        object.__setattr__(self, "_u_rows", _u_rows)  # the rows of U at the factors
+        # per generator, its coefficients times det(-M) (= `order`), in vertex order
+        object.__setattr__(self, "_numerators", _numerators)
 
     def zero(self) -> ClassElement:
         return ClassElement((0,) * len(self.factors))

@@ -8,8 +8,9 @@ only the path varies, and tests exercise randomized policies to confirm it.
 
 Each step costs O(deg) integer work on numerators over one scale: the
 positive vertices sit in a min-heap, and a step updates only the chosen
-vertex and its neighbours. Class cycles and h1 sums climb from integers;
-only `antinef_closure` and `fundamental_cycle` build a sequence object.
+vertex and its neighbours. Class cycles, h1 sums and Z_min climb from
+integers; only `antinef_closure` and `fundamental_cycle` build a sequence
+object.
 The minimally elliptic cycle is a canonical cycle on a subgraph found by
 rationality tests, on every resolution; no grid of cycles is walked.
 """
@@ -17,7 +18,6 @@ rationality tests, on every resolution; no grid of cycles is walked.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -27,21 +27,26 @@ from .graph import (ResolutionGraph, canonical_cycle, chi, cycle_vector, diagona
                     dual_coordinates, induced_subgraph, neighbours, per_graph,
                     require_negative_definite, sparse_pairings, vector_cycle)
 from .lattice import ClassElement, ClassGroup, reduced_numerators
+from .record import Record
 
 TieBreak = Callable[[tuple[str, ...]], str]
 
 
-@dataclass(frozen=True)
-class LauferStep:
-    vertex: str
-    value: Fraction  # pairing of the running cycle with the chosen vertex
+class LauferStep(Record):
+    __slots__ = ("vertex", "value")
+
+    def __init__(self, vertex: str, value: Fraction):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "value", value)  # the running cycle's pairing with the vertex
 
 
-@dataclass(frozen=True)
-class ComputationSequence:
-    start: RatCycle
-    steps: tuple[LauferStep, ...]
-    end: RatCycle
+class ComputationSequence(Record):
+    __slots__ = ("start", "steps", "end")
+
+    def __init__(self, start: RatCycle, steps: tuple[LauferStep, ...], end: RatCycle):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "end", end)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -120,21 +125,24 @@ _BOOTSTRAP_CAP = 1_000_000
 
 @per_graph
 def _fundamental_cycle_default(g: ResolutionGraph) -> ComputationSequence:
-    seq = _run_sequence(g, RatCycle.unit(g.ids[0]), None, _BOOTSTRAP_CAP)
-    if any(seq.end.coefficient(vid) < 1 for vid in g.ids):  # pragma: no cover - theory
-        raise InternalError("fundamental cycle has a coefficient below one")
-    return seq
+    return _run_sequence(g, RatCycle.unit(g.ids[0]), None, _BOOTSTRAP_CAP)
 
 
 @per_graph
 def z_min_cycle(g: ResolutionGraph) -> RatCycle:
-    """The fundamental cycle Z_min, the end of `fundamental_cycle(g)`.
+    """The fundamental cycle Z_min, the end of `fundamental_cycle(g)`,
+    climbed in integers without building that sequence.
 
     An extension from `graph.extend_graph` is built knowing it from a warm
     start; only this cycle is seeded, never the sequence `fundamental_cycle`
     reports, whose start and steps differ.
     """
-    return _fundamental_cycle_default(g).end
+    start = [0] * len(g.ids)
+    start[0] = 1
+    _steps, end = _sequence(g, start, 1, None, _BOOTSTRAP_CAP)
+    if min(end) < 1:  # pragma: no cover - theory
+        raise InternalError("fundamental cycle has a coefficient below one")
+    return vector_cycle(g, end, 1)
 
 
 def fundamental_cycle(g: ResolutionGraph, start_vertex: str | None = None,
@@ -311,19 +319,28 @@ def minimally_elliptic_cycle(g: ResolutionGraph) -> RatCycle:
     return cycle
 
 
-@dataclass(frozen=True)
-class SingularityType:
-    kind: str                      # rational | elliptic | minimally-elliptic | cusp | other
-    rational: bool
-    elliptic: bool                 # chi(Z_min) = 0 and not rational
-    minimally_elliptic: bool
-    cusp: bool
-    minimal_resolution: bool
-    numerically_gorenstein: bool
-    tree_all_genus_zero: bool
-    elliptic_cycle_support_is_all: bool | None
-    geometric_genus: int | None    # 0 rational, 1 minimally elliptic, else unknown
-    warnings: tuple[str, ...]
+class SingularityType(Record):
+    __slots__ = ("kind", "rational", "elliptic", "minimally_elliptic", "cusp", "minimal_resolution",
+                 "numerically_gorenstein", "tree_all_genus_zero", "elliptic_cycle_support_is_all",
+                 "geometric_genus", "warnings")
+
+    def __init__(self, kind: str, rational: bool, elliptic: bool, minimally_elliptic: bool, cusp: bool,
+                 minimal_resolution: bool, numerically_gorenstein: bool, tree_all_genus_zero: bool,
+                 elliptic_cycle_support_is_all: bool | None, geometric_genus: int | None,
+                 warnings: tuple[str, ...]):
+        # rational | elliptic | minimally-elliptic | cusp | other
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rational", rational)
+        object.__setattr__(self, "elliptic", elliptic)  # chi(Z_min) = 0 and not rational
+        object.__setattr__(self, "minimally_elliptic", minimally_elliptic)
+        object.__setattr__(self, "cusp", cusp)
+        object.__setattr__(self, "minimal_resolution", minimal_resolution)
+        object.__setattr__(self, "numerically_gorenstein", numerically_gorenstein)
+        object.__setattr__(self, "tree_all_genus_zero", tree_all_genus_zero)
+        object.__setattr__(self, "elliptic_cycle_support_is_all", elliptic_cycle_support_is_all)
+        # 0 rational, 1 minimally elliptic, else unknown
+        object.__setattr__(self, "geometric_genus", geometric_genus)
+        object.__setattr__(self, "warnings", warnings)
 
 
 @per_graph

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -32,7 +31,8 @@ from .graph import (ResolutionGraph, adjugate, blow_up, canonical_cycle, chi, cy
                     sparse_pairings, total_transform, vector_cycle)
 from .lattice import ClassElement, class_group, class_of, reduced_rep
 from .laufer import (antinef_closure, fundamental_cycle, h1_rational,
-                     laufer_rational, minimal_antinef_rep)
+                     laufer_rational, minimal_antinef_rep, z_min_cycle)
+from .record import Record
 
 # The most vertices `verify_all` accepts, the seed of its samples (fixed so
 # transcripts repeat) and the most grid points an exhaustive chi scan walks.
@@ -41,19 +41,20 @@ VERIFY_SEED = 0
 CHI_GRID_BUDGET = 300_000
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Per-vertex nonnegative coefficient bounds for bounded enumeration."""
 
-    bounds: tuple[tuple[str, int], ...]
-    _by_vertex: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("bounds", "_by_vertex")
+    _fields = ("bounds",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_vertex", dict(self.bounds))
+    def __init__(self, bounds: tuple[tuple[str, int], ...]):
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "_by_vertex", dict(bounds))
 
     @classmethod
     def for_graph(cls, g: ResolutionGraph, scale: int = 3) -> "Box":
-        z_min = fundamental_cycle(g).end
+        require_negative_definite(g)
+        z_min = z_min_cycle(g)
         return cls(tuple((vid, scale * int(z_min.coefficient(vid))) for vid in g.ids))
 
     def bound(self, vid: str) -> int:
@@ -245,16 +246,20 @@ def brute_fundamental_cycle(g: ResolutionGraph, box: Optional[Box] = None) -> Op
     return None if least is None else vector_cycle(g, least, det)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class VerificationTranscript:
-    checks: tuple[CheckResult, ...]
+class VerificationTranscript(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]):
+        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -297,7 +302,7 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
     det = lattice_determinant(g)
     duals = dual_basis(g)
     cg = class_group(g)
-    z_min = fundamental_cycle(g).end
+    z_min = z_min_cycle(g)
     z_k = canonical_cycle(g)
 
     def check_dual_basis():
@@ -488,6 +493,8 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
             return "skipped: graph is not rational"
         for h in cg.elements():
             rep = minimal_antinef_rep(g, cg, h)
+            assert over_det(rep) is not None, \
+                f"class {h.coords}: minimal cycle {rep} is off the dual lattice"
             neg_class = cg.neg(h)
             end = minima.get(neg_class)  # its minimal cycle is in the box (check_minimal_reps)
             assert end is not None, f"box missed class {neg_class.coords}"

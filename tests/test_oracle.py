@@ -362,7 +362,7 @@ def test_minimal_cycle_off_the_cone_fails_the_cone_check(z7, z7_class, monkeypat
 
 
 def test_minimal_cycle_off_the_dual_lattice_fails_the_cone_check(monkeypatch):
-    # cusp-3x3 is not rational, so no h1 check refuses the cycle first
+    # cusp-3x3 is not rational, so the h1 check skips the cycle
     from singlat import oracle
     cusp = catalog("cusp-3x3")
     wrong = RatCycle({"E1": Fraction(1, 3)})  # off the 1/16 grid of the dual lattice
@@ -375,10 +375,26 @@ def test_minimal_cycle_off_the_dual_lattice_fails_the_cone_check(monkeypatch):
     assert failed["class-cone-vertex"] == f"{wrong} + 0 escaped the anti-nef part of class {zero}"
 
 
-def test_closure_endpoint_moved_fails_the_closure_check(z7, monkeypatch):
-    import dataclasses
-
+def test_minimal_cycle_off_the_dual_lattice_fails_the_h1_check(z7, z7_class, monkeypatch, capsys):
+    # on a rational graph the h1 check sees the cycle too: it fails with a
+    # witness instead of refusing the graph, and `verify` exits 3, not 2
     from singlat import oracle
+    from singlat.cli import main
+    h, least = z7_class
+    wrong = least + RatCycle({"E1": Fraction(1, 2)})  # off the 1/det grid of the dual lattice
+    monkeypatch.setattr(oracle, "minimal_antinef_rep", _shifted(
+        oracle.minimal_antinef_rep, lambda rep: wrong if rep == least else rep))
+    failed = _failed(z7)
+    assert failed["h1-chi-formula"] == f"class {h.coords}: minimal cycle {wrong} is off the dual lattice"
+    assert failed["minimal-cycles-vs-enumeration"] == \
+        f"class {h.coords}: sequence gives {wrong}, enumeration gives {least}"
+    assert failed["class-cone-vertex"] == f"{wrong} + 0 escaped the anti-nef part of class {h.coords}"
+    assert main(["verify", "--catalog", "paper-z7"]) == 3
+    assert "FAIL  h1-chi-formula: " in capsys.readouterr().out
+
+
+def test_closure_endpoint_moved_fails_the_closure_check(z7, monkeypatch):
+    from singlat import ComputationSequence, oracle
     z_min = fundamental_cycle(z7).end
     closure = oracle.antinef_closure
     for shift, message in (
@@ -386,7 +402,7 @@ def test_closure_endpoint_moved_fails_the_closure_check(z7, monkeypatch):
             (RatCycle.unit("E1"), "closure endpoint of E1 escaped the box"),
             (RatCycle({"E1": Fraction(1, 2)}), "closure endpoint of E1 escaped the box")):
         monkeypatch.setattr(oracle, "antinef_closure", _shifted(
-            closure, lambda seq: dataclasses.replace(seq, end=seq.end + shift)))
+            closure, lambda seq: ComputationSequence(seq.start, seq.steps, seq.end + shift)))
         failed = _failed(z7)
         moved = z_min + shift  # the closure from E1 ends at Z_min
         assert failed["closure-endpoints-vs-enumeration"] == message.format(moved=moved, end=z_min)
