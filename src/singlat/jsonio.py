@@ -17,7 +17,7 @@ from .classify import ClassificationReport, FullSheafFamily, SpecialnessRecord, 
 from .cycles import RatCycle
 from .dsl import GraphDocument
 from .errors import InputError
-from .graph import ResolutionGraph
+from .graph import ResolutionGraph, cycle_vector
 from .lattice import ClassGroup
 from .laufer import ComputationSequence, SingularityType
 from .oracle import VerificationTranscript
@@ -156,11 +156,14 @@ def to_json(obj, graph: ResolutionGraph | None = None) -> str:
     elif isinstance(obj, RatCycle):
         if graph is None:
             raise InputError("serialising a bare cycle needs the graph for vertex order")
+        cycle_vector(graph, obj)  # refuses a coefficient off the graph
         doc = document("cycle", {"vertices": list(graph.ids),
                                  "coefficients": encode_cycle(graph, obj)})
     elif isinstance(obj, ComputationSequence):
         if graph is None:
             raise InputError("serialising a sequence needs the graph for vertex order")
+        cycle_vector(graph, obj.start)
+        cycle_vector(graph, obj.end)
         doc = document("sequence", encode_sequence(graph, obj))
     else:
         raise InputError(f"cannot serialise objects of type {type(obj).__name__}")

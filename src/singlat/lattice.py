@@ -15,7 +15,7 @@ import math
 from . import linalg
 from .cycles import RatCycle, cycle_min
 from .errors import InternalError, PreconditionError
-from .graph import (ResolutionGraph, adjugate, cycle_vector, dual_coordinates, intersection_matrix,
+from .graph import (ResolutionGraph, cycle_vector, dual_coordinates, intersection_matrix,
                     lattice_determinant, pairing_vector, per_graph, require_negative_definite,
                     vector_cycle)
 from .record import Record
@@ -34,14 +34,6 @@ class ClassElement(Record):
 
     def __init__(self, coords: tuple[int, ...]):
         object.__setattr__(self, "coords", coords)
-
-    # the key of the oracle's per-class tables, compared and hashed once per
-    # enumerated point: spelt out, as the generic record methods cost more
-    def __eq__(self, other):
-        return self.coords == other.coords if other.__class__ is ClassElement else NotImplemented
-
-    def __hash__(self):
-        return hash((self.coords,))
 
     @property
     def is_zero(self) -> bool:
@@ -101,23 +93,22 @@ class ClassGroup(Record):
 def class_group(g: ResolutionGraph) -> ClassGroup:
     """Present the discriminant group by invariant factors.
 
-    The Smith normal form of -M diagonalises the inclusion of the integral
+    The Smith form U(-M)V = D diagonalises the inclusion of the integral
     lattice into its dual (written in the dual basis); unit factors are
-    dropped and each surviving factor receives a generator pulled back
-    through the inverse row transform: sum over v of uinv[v][i] E_v^*, whose
-    numerators over det(-M) are the same combination of rows of adj(-M).
+    dropped and each factor d_i receives sum over v of U^-1[v][i] E_v^*.
+    As (-M) V e_i = d_i U^-1 e_i, that is the integral cycle V e_i over d_i:
+    its numerators over det(-M) are V[w][i] * (det // d_i).
     """
     require_negative_definite(g)
     neg = [list(row) for row in intersection_matrix(g).negated()]
-    d, u, uinv, _v = linalg.smith_normal_form(neg)
+    d, u, v = linalg.smith_normal_form(neg)
     det = lattice_determinant(g)
     product = math.prod(d)
     if product != det:  # pragma: no cover - cross-check
         raise InternalError(f"smith form product {product} != determinant {det}")
     positions = tuple(i for i, x in enumerate(d) if x != 1)
     factors = tuple(d[i] for i in positions)
-    adj = adjugate(g)  # symmetric, so its row w is its column w
-    numerators = tuple(tuple(sum(r[i] * a for r, a in zip(uinv, row)) for row in adj) for i in positions)
+    numerators = tuple(tuple(row[i] * (det // d[i]) for row in v) for i in positions)
     generators = tuple(vector_cycle(g, num, det) for num in numerators)
     cg = ClassGroup(g, det, factors, generators, tuple(tuple(u[i]) for i in positions), numerators)
     for k, num in enumerate(numerators):

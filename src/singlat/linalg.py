@@ -3,8 +3,8 @@
 One fraction-free (Bareiss) elimination, `eliminate`, answers every question
 about a square A: its pivots (the leading minors up to the first one that is
 not positive, det(A) last) and, in Gauss-Jordan form on [A | B], adj(A) B.
-The Smith normal form keeps the left transform together with its inverse
-so cokernel coordinates and generator pullbacks stay exact.
+The Smith normal form returns both unimodular transforms: the left one
+gives cokernel coordinates, the right one the cokernel's generators.
 """
 
 from __future__ import annotations
@@ -97,35 +97,27 @@ def invert(rows) -> list[list[Fraction]]:
 def smith_normal_form(rows):
     """Diagonalise an integer matrix by unimodular row/column operations.
 
-    Returns ``(d, u, uinv, v)`` with ``u @ A @ v`` diagonal with entries
-    ``d`` satisfying ``d[i] >= 0`` and ``d[i] | d[i+1]``, ``u`` and ``v``
-    unimodular, and ``uinv`` the exact inverse of ``u``.
+    Returns ``(d, u, v)`` with ``u @ A @ v`` diagonal with entries ``d``
+    satisfying ``d[i] >= 0`` and ``d[i] | d[i+1]``, ``u`` and ``v`` unimodular.
     """
     a = [list(r) for r in rows]
     n = len(a)
     m = len(a[0]) if n else 0
     u = identity(n)
-    uinv = identity(n)
     v = identity(m)
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
 
     def row_add(i, j, q):
-        # row_i += q * row_j;  uinv column_j -= q * column_i
+        # row_i += q * row_j
         a[i] = [x + q * y for x, y in zip(a[i], a[j])]
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        for r in uinv:
-            r[j] -= q * r[i]
 
     def col_swap(i, j):
         for r in a:
@@ -195,4 +187,4 @@ def smith_normal_form(rows):
         if any(a[i][j] for j in range(m)):  # pragma: no cover - loop invariant
             raise InternalError("smith normal form left a nonzero row behind")
     d = [a[i][i] if i < m else 0 for i in range(min(n, m))]
-    return d, u, uinv, v
+    return d, u, v

@@ -96,9 +96,9 @@ def affordable_chi_box(g: ResolutionGraph, scale: int = 3) -> tuple[Box, int]:
 
 
 def _antinef_numerators(g: ResolutionGraph, box: Optional[Box] = None
-                        ) -> list[tuple[ClassElement, tuple[int, ...]]]:
-    """Every anti-nef dual-lattice point inside the box with its class, the
-    point as numerators over det(-M) in vertex order.
+                        ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every anti-nef dual-lattice point inside the box as its class's
+    coordinates and its numerators over det(-M) in vertex order.
 
     Enumerates nonnegative combinations of the dual cycles depth-first in
     lexicographic order; partial sums only grow, so pruning against the box
@@ -115,9 +115,9 @@ def _antinef_numerators(g: ResolutionGraph, box: Optional[Box] = None
     cg = class_group(g)
     factors = cg.factors
     dual_coords = [class_of(cg, dual).coords for dual in dual_basis(g).values()]
-    out: list[tuple[ClassElement, tuple[int, ...]]] = []
+    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    def rec(v: int, point: tuple[int, ...], cls: ClassElement):
+    def rec(v: int, point: tuple[int, ...], cls: tuple[int, ...]):
         if v == n:
             out.append((cls, point))
             return
@@ -125,15 +125,15 @@ def _antinef_numerators(g: ResolutionGraph, box: Optional[Box] = None
         while all(map(operator.le, point, limits)):
             rec(v + 1, point, cls)
             point = tuple(map(operator.add, point, column))
-            cls = ClassElement(tuple((a + b) % d for a, b, d in zip(cls.coords, step, factors)))
+            cls = tuple((a + b) % d for a, b, d in zip(cls, step, factors))
 
-    rec(0, (0,) * n, cg.zero())
+    rec(0, (0,) * n, cg.zero().coords)
     return out
 
 
-def _by_class(points) -> dict[ClassElement, list[tuple[int, ...]]]:
-    """Points grouped by class, each group in enumeration order."""
-    by_class: dict[ClassElement, list[tuple[int, ...]]] = {}
+def _by_class(points) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Points grouped by class coordinates, each group in enumeration order."""
+    by_class: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for cls, point in points:
         by_class.setdefault(cls, []).append(point)
     return by_class
@@ -160,14 +160,15 @@ def antinef_points(g: ResolutionGraph, box: Optional[Box] = None) -> list[tuple[
     enumeration order."""
     points = _antinef_numerators(g, box)
     det = lattice_determinant(g)
-    return [(cls, vector_cycle(g, point, det)) for cls, point in points]
+    return [(ClassElement(cls), vector_cycle(g, point, det)) for cls, point in points]
 
 
 def brute_lipman_minima(g: ResolutionGraph, box: Optional[Box] = None) -> dict[ClassElement, RatCycle]:
     """Coefficient-wise minimum of the boxed anti-nef points, per class."""
     by_class = _by_class(_antinef_numerators(g, box))
     det = lattice_determinant(g)
-    return {cls: vector_cycle(g, _minimum(group), det) for cls, group in by_class.items()}
+    return {ClassElement(cls): vector_cycle(g, _minimum(group), det)
+            for cls, group in by_class.items()}
 
 
 def brute_lipman_min(g: ResolutionGraph, h: ClassElement,
@@ -240,7 +241,7 @@ def brute_min_chi(g: ResolutionGraph, box: Optional[Box] = None) -> tuple[int, R
 
 def brute_fundamental_cycle(g: ResolutionGraph, box: Optional[Box] = None) -> Optional[RatCycle]:
     """Minimal nonzero integral anti-nef cycle found inside the box."""
-    zero_points = _by_class(_antinef_numerators(g, box)).get(class_group(g).zero(), [])
+    zero_points = _by_class(_antinef_numerators(g, box)).get(class_group(g).zero().coords, [])
     det = lattice_determinant(g)
     least = _least_nonzero_integral(zero_points, det)
     return None if least is None else vector_cycle(g, least, det)
@@ -295,8 +296,6 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
             checks.append(CheckResult(name, True, detail or "ok"))
         except InternalError as exc:
             checks.append(CheckResult(name, False, str(exc)))
-        except AssertionError as exc:
-            checks.append(CheckResult(name, False, str(exc) or "assertion failed"))
 
     ids = g.ids
     det = lattice_determinant(g)
@@ -310,14 +309,16 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
             for v in ids:
                 expected = Fraction(-1 if u == v else 0)
                 got = pairing(g, duals[u], RatCycle.unit(v))
-                assert got == expected, f"(dual {u}, {v}) = {got}, expected {expected}"
+                if got != expected:
+                    raise InternalError(f"(dual {u}, {v}) = {got}, expected {expected}")
         return f"{len(ids)}^2 pairings exact"
 
     def check_canonical():
         values = pairing_vector(g, z_k)
         for vert, got in zip(g.vertices, values):
             expected = vert.euler + 2 - 2 * vert.genus
-            assert got == expected, f"(K, {vert.id}) = {got}, expected {expected}"
+            if got != expected:
+                raise InternalError(f"(K, {vert.id}) = {got}, expected {expected}")
         return "adjunction residuals all zero"
 
     def check_chi_quadratic():
@@ -327,20 +328,23 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
             a, b = rng.choice(sample), rng.choice(sample)
             lhs = chi(g, a + b)
             rhs = chi(g, a) + chi(g, b) - pairing(g, a, b)
-            assert lhs == rhs, f"chi not quadratic at {a} + {b}"
+            if lhs != rhs:
+                raise InternalError(f"chi not quadratic at {a} + {b}")
         return "quadratic identity holds on sampled pairs"
 
     def check_class_order():
-        assert cg.order == det, f"order {cg.order} != determinant {det}"
+        if cg.order != det:
+            raise InternalError(f"order {cg.order} != determinant {det}")
         product = math.prod(cg.factors)
-        assert product == det, f"factor product {product} != determinant {det}"
+        if product != det:
+            raise InternalError(f"factor product {product} != determinant {det}")
         return f"order {det}, factors {list(cg.factors)}"
 
     def check_generator_orders():
         for k, gen in enumerate(cg.generators):
             expected = cg.factors[k]
-            assert cg.element_order(class_of(cg, gen)) == expected, \
-                f"generator {k} has wrong order"
+            if cg.element_order(class_of(cg, gen)) != expected:
+                raise InternalError(f"generator {k} has wrong order")
         return f"{len(cg.generators)} generator orders match"
 
     def check_homomorphism():
@@ -348,19 +352,21 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         sample = [duals[v] for v in ids]
         for _ in range(10):
             a, b = rng.choice(sample), rng.choice(sample)
-            assert class_of(cg, a + b) == cg.add(class_of(cg, a), class_of(cg, b)), \
-                "class map is not additive"
+            if class_of(cg, a + b) != cg.add(class_of(cg, a), class_of(cg, b)):
+                raise InternalError("class map is not additive")
         return "class map additive on sampled pairs"
 
     def check_reduced_reps():
         for h in cg.elements():
             rep = reduced_rep(cg, h)
-            assert all(0 <= rep.coefficient(v) < 1 for v in ids), \
-                f"reduced representative of {h.coords} leaves [0,1)"
-            assert class_of(cg, rep) == h, f"reduced representative of {h.coords} misclassified"
+            if not all(0 <= rep.coefficient(v) < 1 for v in ids):
+                raise InternalError(f"reduced representative of {h.coords} leaves [0,1)")
+            if class_of(cg, rep) != h:
+                raise InternalError(f"reduced representative of {h.coords} misclassified")
         for v in ids:
             diff = duals[v] - reduced_rep(cg, class_of(cg, duals[v]))
-            assert diff.is_integral, f"dual {v} minus its reduced representative is not integral"
+            if not diff.is_integral:
+                raise InternalError(f"dual {v} minus its reduced representative is not integral")
         return f"{cg.order} classes reduced"
 
     # one enumeration feeds every check that compares against the box; its
@@ -368,7 +374,7 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
     # and for a failure message
     points = _antinef_numerators(g, box)
     by_class = _by_class(points)
-    zero_points = by_class.get(cg.zero(), [])
+    zero_points = by_class.get(cg.zero().coords, [])
     minima = {cls: _minimum(group) for cls, group in by_class.items()}
     limits = [box.bound(v) * det for v in ids]
     diag, rows = diagonal(g), neighbours(g)
@@ -400,32 +406,36 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         for h in cg.elements():
             rep = minimal_antinef_rep(g, cg, h)
             require_in_box(rep, h)
-            brute = minima.get(h)
-            assert brute is not None, f"box missed class {h.coords} entirely"
-            assert over_det(rep) == brute, \
-                f"class {h.coords}: sequence gives {rep}, enumeration gives {as_cycle(brute)}"
+            brute = minima.get(h.coords)
+            if brute is None:
+                raise InternalError(f"box missed class {h.coords} entirely")
+            if over_det(rep) != brute:
+                raise InternalError(f"class {h.coords}: sequence gives {rep}, "
+                                    f"enumeration gives {as_cycle(brute)}")
         return f"agreement on all {cg.order} classes"
 
     def check_cone_vertex():
         # The reverse inclusion (every anti-nef representative = minimal cycle
         # + an anti-nef integral cycle) fails in general; see the ledgered
-        # counterexamples. What is asserted: the shifted monoid stays inside
+        # counterexamples. What is checked: the shifted monoid stays inside
         # the class, and the minimal cycle sits below everything.
         for h in cg.elements():
             rep = minimal_antinef_rep(g, cg, h)
             vec = over_det(rep)
             # off the grid, rep + 0 is already outside every class
-            assert vec is not None, f"{rep} + 0 escaped the anti-nef part of class {h.coords}"
-            group = by_class.get(h, [])
+            if vec is None:
+                raise InternalError(f"{rep} + 0 escaped the anti-nef part of class {h.coords}")
+            group = by_class.get(h.coords, [])
             actual = set(group)
             for s in zero_points:
                 shifted = tuple(map(operator.add, vec, s))
-                if all(0 <= x <= b for x, b in zip(shifted, limits)):
-                    assert shifted in actual, \
-                        f"{rep} + {as_cycle(s)} escaped the anti-nef part of class {h.coords}"
+                if all(0 <= x <= b for x, b in zip(shifted, limits)) and shifted not in actual:
+                    raise InternalError(f"{rep} + {as_cycle(s)} escaped the anti-nef part "
+                                        f"of class {h.coords}")
             for p in group:
-                assert all(map(operator.le, vec, p)), \
-                    f"{as_cycle(p)} in class {h.coords} is not above the minimal cycle"
+                if not all(map(operator.le, vec, p)):
+                    raise InternalError(f"{as_cycle(p)} in class {h.coords} is not above "
+                                        f"the minimal cycle")
         return "minimal cycle + monoid stays in each class; minimality confirmed"
 
     def check_closure_endpoints():
@@ -441,18 +451,22 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
             eligible = [p for _cls, p in points
                         if all(x >= y and (x - y) % det == 0 for x, y in zip(p, low))]
             end_vec = over_det(end)
-            assert end_vec in eligible, f"closure endpoint of {start} escaped the box"
+            if end_vec not in eligible:
+                raise InternalError(f"closure endpoint of {start} escaped the box")
             best = _minimum(eligible)
-            assert best == end_vec, \
-                f"closure from {start} gave {end}, enumeration minimum is {as_cycle(best)}"
+            if best != end_vec:
+                raise InternalError(f"closure from {start} gave {end}, "
+                                    f"enumeration minimum is {as_cycle(best)}")
         return f"{len(starts)} starts confirmed against the enumeration"
 
     def check_fundamental():
         brute = _least_nonzero_integral(zero_points, det)
-        assert brute is not None, "box missed every nonzero integral anti-nef cycle"
-        assert brute == over_det(z_min), \
-            f"sequence gives {z_min}, enumeration gives {as_cycle(brute)}"
-        assert all(z_min.coefficient(v) >= 1 for v in ids), "a coefficient is below one"
+        if brute is None:
+            raise InternalError("box missed every nonzero integral anti-nef cycle")
+        if brute != over_det(z_min):
+            raise InternalError(f"sequence gives {z_min}, enumeration gives {as_cycle(brute)}")
+        if not all(z_min.coefficient(v) >= 1 for v in ids):
+            raise InternalError("a coefficient is below one")
         return f"fundamental cycle confirmed: {z_min}"
 
     def check_path_independence():
@@ -460,11 +474,11 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         for trial in range(5):
             policy = (lambda r: (lambda cands: r.choice(cands)))(random.Random(rng.randrange(10 ** 6)))
             for v in ids:
-                assert fundamental_cycle(g, start_vertex=v, tie_break=policy).end == z_min, \
-                    f"fundamental cycle changed from start {v}"
+                if fundamental_cycle(g, start_vertex=v, tie_break=policy).end != z_min:
+                    raise InternalError(f"fundamental cycle changed from start {v}")
             for h in cg.elements():
-                assert minimal_antinef_rep(g, cg, h, tie_break=policy) == \
-                    minimal_antinef_rep(g, cg, h), f"minimal cycle of {h.coords} changed"
+                if minimal_antinef_rep(g, cg, h, tie_break=policy) != minimal_antinef_rep(g, cg, h):
+                    raise InternalError(f"minimal cycle of {h.coords} changed")
         return "endpoints stable under randomized tie-breaking"
 
     def check_rationality_chi():
@@ -472,12 +486,14 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         value, witness = brute_min_chi(g, chi_box)
         rational = laufer_rational(g)
         if rational:
-            assert value == 1, f"rational graph but bounded min chi = {value} at {witness}"
+            if value != 1:
+                raise InternalError(f"rational graph but bounded min chi = {value} at {witness}")
         else:
-            assert value <= 0, f"non-rational graph but bounded min chi = {value}"
+            if value > 0:
+                raise InternalError(f"non-rational graph but bounded min chi = {value}")
             elliptic = chi(g, z_min) == 0
-            assert elliptic == (value == 0), \
-                f"chi(Z_min) = {chi(g, z_min)} but bounded min chi = {value}"
+            if elliptic != (value == 0):
+                raise InternalError(f"chi(Z_min) = {chi(g, z_min)} but bounded min chi = {value}")
         return f"bounded min chi = {value} at {witness} (box scale {used_scale})"
 
     def check_specialness():
@@ -493,15 +509,17 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
             return "skipped: graph is not rational"
         for h in cg.elements():
             rep = minimal_antinef_rep(g, cg, h)
-            assert over_det(rep) is not None, \
-                f"class {h.coords}: minimal cycle {rep} is off the dual lattice"
+            if over_det(rep) is None:
+                raise InternalError(f"class {h.coords}: minimal cycle {rep} is off the dual lattice")
             neg_class = cg.neg(h)
-            end = minima.get(neg_class)  # its minimal cycle is in the box (check_minimal_reps)
-            assert end is not None, f"box missed class {neg_class.coords}"
+            end = minima.get(neg_class.coords)  # its minimal cycle is in the box (check_minimal_reps)
+            if end is None:
+                raise InternalError(f"box missed class {neg_class.coords}")
             expected = chi(g, -rep) - chi(g, as_cycle(end))
             got = h1_rational(g, rep)
-            assert got == expected, \
-                f"class {h.coords}: h1 sequence value {got}, chi difference {expected}"
+            if got != expected:
+                raise InternalError(
+                    f"class {h.coords}: h1 sequence value {got}, chi difference {expected}")
         return "sequence h1 equals the chi difference on every class"
 
     def check_min_closure():
@@ -509,23 +527,23 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         for h, group in by_class.items():
             for _ in range(min(10, len(group))):
                 a, b = rng.choice(group), rng.choice(group)
-                assert antinef(tuple(map(min, a, b))), \
-                    f"min of two anti-nef cycles of {h.coords} is not anti-nef"
-                assert all((x - y) % det == 0 for x, y in zip(a, b)), \
-                    "two points of one class differ non-integrally"
+                if not antinef(tuple(map(min, a, b))):
+                    raise InternalError(f"min of two anti-nef cycles of {h} is not anti-nef")
+                if any((x - y) % det for x, y in zip(a, b)):
+                    raise InternalError("two points of one class differ non-integrally")
         return "sampled minima stay anti-nef within each class"
 
     def check_monoid():
         integral = [p for p in zero_points if not any(x % det for x in p)]
         for p in integral:
-            if any(p):
-                assert all(x > 0 for x in p), \
-                    f"nonzero integral anti-nef cycle {as_cycle(p)} has a zero coefficient"
+            if any(p) and not all(x > 0 for x in p):
+                raise InternalError(
+                    f"nonzero integral anti-nef cycle {as_cycle(p)} has a zero coefficient")
         rng = random.Random(VERIFY_SEED + 4)
         for _ in range(10):
             a, b = rng.choice(integral), rng.choice(integral)
-            assert antinef(tuple(map(operator.add, a, b))), \
-                "sum of integral anti-nef cycles is not anti-nef"
+            if not antinef(tuple(map(operator.add, a, b))):
+                raise InternalError("sum of integral anti-nef cycles is not anti-nef")
         return f"{len(integral)} integral points checked"
 
     def check_blow_up():
@@ -535,19 +553,21 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         sample = ([RatCycle.unit(v) for v in ids] + [z_min, z_k] + [duals[v] for v in ids])[:6]
         for locus in loci:
             target, bmap = blow_up(g, locus)
-            assert lattice_determinant(target) == det, f"determinant changed at locus {locus!r}"
+            if lattice_determinant(target) != det:
+                raise InternalError(f"determinant changed at locus {locus!r}")
             images = [total_transform(bmap, a) for a in sample]
             for a, image_a in zip(sample, images):
                 for b, image_b in zip(sample, images):
-                    assert pairing(target, image_a, image_b) == pairing(g, a, b), \
-                        f"pairing not preserved at locus {locus!r}"
+                    if pairing(target, image_a, image_b) != pairing(g, a, b):
+                        raise InternalError(f"pairing not preserved at locus {locus!r}")
         return f"{len(loci)} loci: determinant and pairings preserved"
 
     def check_extension():
         ext = extend_graph(g, ids[0])
         new_id = ext.ids[-1]
         mult = fundamental_cycle(ext).end.coefficient(new_id)
-        assert mult == 1, f"extension vertex has multiplicity {mult}"
+        if mult != 1:
+            raise InternalError(f"extension vertex has multiplicity {mult}")
         return f"stable extension at {ids[0]!r} with Euler number {ext.vertex(new_id).euler}"
 
     run("dual-basis-pairings", check_dual_basis)

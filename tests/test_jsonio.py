@@ -35,6 +35,16 @@ def test_bare_cycle_requires_graph():
         to_json(RatCycle.zero())
 
 
+def test_cycle_off_the_graph_is_refused():
+    from singlat import ComputationSequence
+    g = catalog("A2")
+    off = RatCycle({"zz": 1, "v1": 1})
+    for obj in (off, ComputationSequence(off, (), RatCycle.zero()),
+                ComputationSequence(RatCycle.zero(), (), off)):
+        with pytest.raises(InputError, match="unknown vertex id 'zz'"):
+            to_json(obj, graph=g)
+
+
 def test_class_group_json():
     g = catalog("paper-z7")
     doc = json.loads(to_json(class_group(g)))

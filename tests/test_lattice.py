@@ -139,7 +139,8 @@ def reference_dual_coordinates(g, cycle):
 class ReferenceClassGroup:
     def __init__(self, g):
         neg = [list(row) for row in intersection_matrix(g).negated()]
-        d, self.u, uinv, _v = linalg.smith_normal_form(neg)
+        d, self.u, _v = linalg.smith_normal_form(neg)
+        uinv = linalg.invert(self.u)  # the classical pullback, not the V columns
         self.graph = g
         self.positions = [i for i, x in enumerate(d) if x != 1]
         self.factors = [d[i] for i in self.positions]

@@ -229,7 +229,7 @@ def test_cycle_inside_the_box_missed_by_the_enumeration_still_fails(z7, monkeypa
     missed = class_of(cg, dual_basis(z7)["E1"])
     enumerate_points = oracle._antinef_numerators
     monkeypatch.setattr(oracle, "_antinef_numerators", lambda g, box: [
-        (cls, point) for cls, point in enumerate_points(g, box) if cls != missed])
+        (cls, point) for cls, point in enumerate_points(g, box) if cls != missed.coords])
     transcript = verify_all(z7)
     failed = {c.name: c.detail for c in transcript.checks if not c.passed}
     assert failed["minimal-cycles-vs-enumeration"] == \
@@ -295,7 +295,7 @@ def small_catalog_graphs():
 def test_integer_kernel_replays_the_reference_enumeration(scale, rational_corpus, negdef_corpus):
     import functools
 
-    from singlat import cycle_min, oracle
+    from singlat import ClassElement, cycle_min, oracle
     from singlat.graph import lattice_determinant, vector_cycle
 
     for g in rational_corpus + negdef_corpus + small_catalog_graphs():
@@ -303,7 +303,7 @@ def test_integer_kernel_replays_the_reference_enumeration(scale, rational_corpus
         want = reference_antinef_points(g, box)
         det = lattice_determinant(g)
         got = oracle._antinef_numerators(g, box)
-        assert [(cls, vector_cycle(g, point, det)) for cls, point in got] == want
+        assert [(ClassElement(cls), vector_cycle(g, point, det)) for cls, point in got] == want
         assert antinef_points(g, box) == want
         groups = {}
         for cls, point in want:
@@ -391,6 +391,34 @@ def test_minimal_cycle_off_the_dual_lattice_fails_the_h1_check(z7, z7_class, mon
     assert failed["class-cone-vertex"] == f"{wrong} + 0 escaped the anti-nef part of class {h.coords}"
     assert main(["verify", "--catalog", "paper-z7"]) == 3
     assert "FAIL  h1-chi-formula: " in capsys.readouterr().out
+
+
+_RAISE_NONZERO_MINIMAL_CYCLES = """
+from singlat import RatCycle, catalog, oracle, verify_all
+minimal = oracle.minimal_antinef_rep
+oracle.minimal_antinef_rep = lambda g, cg, h, **kwargs: (
+    minimal(g, cg, h, **kwargs) + (RatCycle() if h.is_zero else RatCycle.unit("E1")))
+print(verify_all(catalog("paper-z7")).to_text())
+"""
+
+
+def test_injected_fault_fails_under_python_optimize():
+    # the checks must not be `assert`s, which `python -O` strips
+    import os
+    import subprocess
+    import sys
+
+    import singlat
+    src = os.path.dirname(os.path.dirname(singlat.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    transcripts = [subprocess.run([sys.executable, *flags, "-c", _RAISE_NONZERO_MINIMAL_CYCLES],
+                                  check=True, capture_output=True, text=True, env=env).stdout
+                   for flags in ((), ("-O",))]
+    assert transcripts[0] == transcripts[1]
+    failed = [line.split(":")[0] for line in transcripts[1].splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL  minimal-cycles-vs-enumeration", "FAIL  class-cone-vertex",
+                      "FAIL  overall"]
 
 
 def test_closure_endpoint_moved_fails_the_closure_check(z7, monkeypatch):
