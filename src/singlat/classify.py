@@ -12,13 +12,11 @@ recorded symbolically and never computed.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
 from .graph import (ResolutionGraph, adjugate, cycle_vector, diagonal, dual_basis, extend_graph,
                     neighbours, sparse_pairings, vector_cycle)
-from .lattice import ClassElement, ClassGroup, class_group, class_of
+from .lattice import ClassGroup, class_group, class_of
 from .laufer import (SingularityType, classify_singularity, h1_numerators,
                      h1_rational, laufer_rational, minimal_numerators, z_min_cycle)
 from .record import Record
@@ -30,18 +28,9 @@ FLAT_UNKNOWN = "unknown"
 
 
 class FullSheafFamily(Record):
+    # `chern_class` is the negated first Chern class, an anti-nef cycle
     __slots__ = ("class_coords", "chern_class", "family_dim", "exceptions", "special", "flat_count")
-
-    def __init__(self, class_coords: tuple[int, ...], chern_class: RatCycle, family_dim: int,
-                 exceptions: tuple[str, ...] = (), special: Optional[bool] = None,
-                 flat_count: str = FLAT_UNKNOWN):
-        object.__setattr__(self, "class_coords", class_coords)
-        # the negated first Chern class, an anti-nef cycle
-        object.__setattr__(self, "chern_class", chern_class)
-        object.__setattr__(self, "family_dim", family_dim)
-        object.__setattr__(self, "exceptions", exceptions)
-        object.__setattr__(self, "special", special)
-        object.__setattr__(self, "flat_count", flat_count)
+    _defaults = {"exceptions": (), "special": None, "flat_count": FLAT_UNKNOWN}
 
 
 class SpecialnessRecord(Record):
@@ -50,49 +39,16 @@ class SpecialnessRecord(Record):
     __slots__ = ("class_coords", "min_rep", "pairing_with_fundamental", "witness_vertex",
                  "h1_value", "special")
 
-    def __init__(self, class_coords: tuple[int, ...], min_rep: RatCycle, pairing_with_fundamental: int,
-                 witness_vertex: Optional[str], h1_value: int, special: bool):
-        object.__setattr__(self, "class_coords", class_coords)
-        object.__setattr__(self, "min_rep", min_rep)
-        object.__setattr__(self, "pairing_with_fundamental", pairing_with_fundamental)
-        object.__setattr__(self, "witness_vertex", witness_vertex)
-        object.__setattr__(self, "h1_value", h1_value)
-        object.__setattr__(self, "special", special)
-
 
 class VertexRecord(Record):
     __slots__ = ("vertex", "multiplicity", "dual", "class_coords", "min_rep", "dual_is_min_rep",
                  "special", "extended_rational")
 
-    def __init__(self, vertex: str, multiplicity: int, dual: RatCycle, class_coords: tuple[int, ...],
-                 min_rep: Optional[RatCycle], dual_is_min_rep: Optional[bool],
-                 special: Optional[bool], extended_rational: Optional[bool]):
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "dual", dual)
-        object.__setattr__(self, "class_coords", class_coords)
-        object.__setattr__(self, "min_rep", min_rep)
-        object.__setattr__(self, "dual_is_min_rep", dual_is_min_rep)
-        object.__setattr__(self, "special", special)
-        object.__setattr__(self, "extended_rational", extended_rational)
-
 
 class ClassificationReport(Record):
     __slots__ = ("graph", "singularity", "class_order", "class_factors", "families",
                  "vertex_table", "notes", "inclusion_only")
-
-    def __init__(self, graph: ResolutionGraph, singularity: SingularityType, class_order: int,
-                 class_factors: tuple[int, ...], families: tuple[FullSheafFamily, ...],
-                 vertex_table: tuple[VertexRecord, ...], notes: tuple[str, ...] = (),
-                 inclusion_only: bool = False):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "singularity", singularity)
-        object.__setattr__(self, "class_order", class_order)
-        object.__setattr__(self, "class_factors", class_factors)
-        object.__setattr__(self, "families", families)
-        object.__setattr__(self, "vertex_table", vertex_table)
-        object.__setattr__(self, "notes", notes)
-        object.__setattr__(self, "inclusion_only", inclusion_only)
+    _defaults = {"notes": (), "inclusion_only": False}
 
 
 def _flag_notes(g: ResolutionGraph, st: SingularityType) -> tuple[str, ...]:
@@ -309,7 +265,7 @@ def flat_annotation(g: ResolutionGraph, report: ClassificationReport) -> Classif
         if st.minimally_elliptic and st.tree_all_genus_zero:
             if not fam.chern_class:
                 return FLAT_ALL
-            if fam.chern_class == z_min and ClassElement(fam.class_coords).is_zero:
+            if fam.chern_class == z_min and not any(fam.class_coords):
                 return FLAT_ZERO_KNOWN
             return FLAT_EXACTLY_ONE
         return FLAT_UNKNOWN

@@ -28,23 +28,12 @@ _ID = re.compile(r"^[A-Za-z0-9_~+\-.']+$")
 
 
 class CycleDef(Record):
-    __slots__ = ("name", "basis", "coeffs")
-
-    def __init__(self, name: str, basis: str, coeffs: tuple[tuple[str, Fraction], ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "basis", basis)  # "E" or "Edual"
-        object.__setattr__(self, "coeffs", coeffs)
+    __slots__ = ("name", "basis", "coeffs")  # `basis` is "E" or "Edual"
 
 
 class GraphDocument(Record):
     __slots__ = ("name", "vertices", "edges", "cycles")
-
-    def __init__(self, name: str | None, vertices: tuple[Vertex, ...],
-                 edges: tuple[tuple[str, str], ...], cycles: tuple[CycleDef, ...] = ()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "cycles", cycles)
+    _defaults = {"cycles": ()}
 
     def graph(self) -> ResolutionGraph:
         return ResolutionGraph(self.vertices, self.edges)

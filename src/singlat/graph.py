@@ -26,11 +26,7 @@ from .record import Record
 
 class Vertex(Record):
     __slots__ = ("id", "euler", "genus")
-
-    def __init__(self, id: str, euler: int, genus: int = 0):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "genus", genus)
+    _defaults = {"genus": 0}
 
 
 class ResolutionGraph(Record):
@@ -59,23 +55,8 @@ class ResolutionGraph(Record):
                 raise InputError(f"edge ({u!r}, {v!r}) references an unknown vertex")
             if u == v:
                 raise InputError(f"loop edge at {u!r}: components are smooth curves")
-        if not self._connected():
+        if len(vertex_components(self._ids, self.edges)) > 1:
             raise InputError("graph is not connected")
-
-    def _connected(self) -> bool:
-        ids = self._ids
-        adjacency = {vid: set() for vid in ids}
-        for u, v in self.edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        reached = {ids[0]}
-        frontier = [ids[0]]
-        while frontier:
-            for nb in adjacency[frontier.pop()]:
-                if nb not in reached:
-                    reached.add(nb)
-                    frontier.append(nb)
-        return len(reached) == len(ids)
 
     @classmethod
     def from_data(cls, vertices: Iterable, edges: Iterable[tuple[str, str]] = ()) -> "ResolutionGraph":
@@ -142,6 +123,29 @@ def _lookup(position: dict, vid) -> int:
         raise InputError(f"unknown vertex id {vid!r}") from None
 
 
+def vertex_components(ids, edges) -> list[set[str]]:
+    """The vertex sets of the connected components of the graph on `ids`
+    with those `edges` that join two of them, in order of first vertex."""
+    adjacent: dict[str, list[str]] = {vid: [] for vid in ids}
+    for u, v in edges:
+        if u in adjacent and v in adjacent:
+            adjacent[u].append(v)
+            adjacent[v].append(u)
+    parts, seen = [], set()
+    for vid in ids:
+        if vid in seen:
+            continue
+        reached, frontier = {vid}, [vid]
+        while frontier:
+            for nb in adjacent[frontier.pop()]:
+                if nb not in reached:
+                    reached.add(nb)
+                    frontier.append(nb)
+        seen |= reached
+        parts.append(reached)
+    return parts
+
+
 def per_graph(fn):
     """Compute `fn(g)` at most once per graph object, kept in `g._memo`.
 
@@ -173,8 +177,9 @@ def neighbours(g: ResolutionGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per vertex position, the (position, edge multiplicity) pairs of its
     neighbours: the nonzero off-diagonal entries of its matrix row."""
     rows: list[dict[int, int]] = [{} for _ in g.vertices]
+    pos = g._position
     for u, v in g.edges:
-        i, j = g.index(u), g.index(v)
+        i, j = pos[u], pos[v]
         rows[i][j] = rows[i].get(j, 0) + 1
         rows[j][i] = rows[j].get(i, 0) + 1
     return tuple(tuple(sorted(row.items())) for row in rows)
@@ -198,9 +203,7 @@ class IntersectionMatrix(Record):
     _fields = ("ids", "rows")
 
     def __init__(self, ids: tuple[str, ...], rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_position", {vid: i for i, vid in enumerate(ids)})
+        super().__init__(ids, rows, {vid: i for i, vid in enumerate(ids)})
 
     def entry(self, u: str, v: str) -> int:
         return self.rows[_lookup(self._position, u)][_lookup(self._position, v)]
@@ -212,24 +215,16 @@ class IntersectionMatrix(Record):
 class BlowUpMap(Record):
     """Total-transform data for a single blow-up."""
 
+    # `locus` is a vertex id or an (id, id) edge
     __slots__ = ("source", "target", "locus", "new_id")
-
-    def __init__(self, source: ResolutionGraph, target: ResolutionGraph,
-                 locus: Union[str, tuple[str, str]], new_id: str):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "locus", locus)
-        object.__setattr__(self, "new_id", new_id)
 
 
 @per_graph
 def intersection_matrix(g: ResolutionGraph) -> IntersectionMatrix:
     """Symmetric matrix with Euler numbers on the diagonal and edge
     multiplicities off it."""
-    ids = g.ids
-    n = len(ids)
-    pos = {vid: i for i, vid in enumerate(ids)}
-    rows = [[0] * n for _ in range(n)]
+    ids, pos = g.ids, g._position
+    rows = [[0] * len(ids) for _ in ids]
     for i, vert in enumerate(g.vertices):
         rows[i][i] = vert.euler
     for u, v in g.edges:
@@ -463,9 +458,6 @@ def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> Reso
     end = laufer._climb(diagonal(g), neighbours(g), start, 1, None, laufer._BOOTSTRAP_CAP,
                         ((position, 1),))[1]
     first = -(adj_self // det) - 1
-    rows = list(neighbours(g))
-    rows[position] += ((len(g.ids), 1),)
     ids = g.ids + (g.fresh_id("ext"),)
     return _extended(g, vid, min(-2, first, -end[position]),
-                     {neighbours: tuple(rows) + (((position, 1),),),
-                      laufer.z_min_cycle: RatCycle(zip(ids, end + [1]))})
+                     {laufer.z_min_cycle: RatCycle(zip(ids, end + [1]))})

@@ -162,8 +162,13 @@ def to_json(obj, graph: ResolutionGraph | None = None) -> str:
     elif isinstance(obj, ComputationSequence):
         if graph is None:
             raise InputError("serialising a sequence needs the graph for vertex order")
-        cycle_vector(graph, obj.start)
-        cycle_vector(graph, obj.end)
+        # start plus one unit per step keeps start's denominators, so its
+        # (numerators, scale) pair equals the end's exactly when the cycles do
+        climbed, scale = cycle_vector(graph, obj.start)
+        for step in obj.steps:
+            climbed[graph.index(step.vertex)] += scale
+        if cycle_vector(graph, obj.end) != (climbed, scale):
+            raise InputError("sequence end is not its start plus one unit per step")
         doc = document("sequence", encode_sequence(graph, obj))
     else:
         raise InputError(f"cannot serialise objects of type {type(obj).__name__}")

@@ -32,9 +32,6 @@ class ClassElement(Record):
 
     __slots__ = ("coords",)
 
-    def __init__(self, coords: tuple[int, ...]):
-        object.__setattr__(self, "coords", coords)
-
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -43,19 +40,12 @@ class ClassElement(Record):
 class ClassGroup(Record):
     """The quotient of the dual lattice by the integral lattice."""
 
+    # `factors`: the invariant factors > 1, a divisibility chain;
+    # `generators`: one dual-lattice cycle per factor; `_u_rows`: the rows of
+    # U at the factors; `_numerators`: per generator, its coefficients times
+    # det(-M) (= `order`), in vertex order
     __slots__ = ("graph", "order", "factors", "generators", "_u_rows", "_numerators")
     _fields = ("graph", "order", "factors", "generators", "_u_rows")
-
-    def __init__(self, graph: ResolutionGraph, order: int, factors: tuple[int, ...],
-                 generators: tuple[RatCycle, ...], _u_rows: tuple[tuple[int, ...], ...],
-                 _numerators: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "factors", factors)  # invariant factors > 1, divisibility chain
-        object.__setattr__(self, "generators", generators)  # one dual-lattice cycle per factor
-        object.__setattr__(self, "_u_rows", _u_rows)  # the rows of U at the factors
-        # per generator, its coefficients times det(-M) (= `order`), in vertex order
-        object.__setattr__(self, "_numerators", _numerators)
 
     def zero(self) -> ClassElement:
         return ClassElement((0,) * len(self.factors))
@@ -113,21 +103,21 @@ def class_group(g: ResolutionGraph) -> ClassGroup:
     cg = ClassGroup(g, det, factors, generators, tuple(tuple(u[i]) for i in positions), numerators)
     for k, num in enumerate(numerators):
         expected = tuple(1 if j == k else 0 for j in range(len(factors)))
-        if _class_of(cg, num, det).coords != expected:  # pragma: no cover - cross-check
+        if _class_of(cg, num, det) != expected:  # pragma: no cover - cross-check
             raise InternalError("class group generator does not map to a unit coordinate")
     return cg
 
 
-def _class_of(cg: ClassGroup, vec, scale: int) -> ClassElement:
-    """Class of the dual-lattice cycle with numerators `vec` over `scale`."""
+def _class_of(cg: ClassGroup, vec, scale: int) -> tuple[int, ...]:
+    """Class coordinates of the dual-lattice cycle with numerators `vec` over `scale`."""
     coords = dual_coordinates(cg.graph, vec, scale)
-    return ClassElement(tuple(sum(u * c for u, c in zip(row, coords)) % d
-                              for row, d in zip(cg._u_rows, cg.factors)))
+    return tuple(sum(u * c for u, c in zip(row, coords)) % d
+                 for row, d in zip(cg._u_rows, cg.factors))
 
 
 def class_of(cg: ClassGroup, cycle: RatCycle) -> ClassElement:
     """Class of a dual-lattice cycle; raises when a pairing is non-integral."""
-    return _class_of(cg, *cycle_vector(cg.graph, cycle))
+    return ClassElement(_class_of(cg, *cycle_vector(cg.graph, cycle)))
 
 
 def reduced_numerators(cg: ClassGroup, h: ClassElement) -> list[int]:
@@ -141,7 +131,7 @@ def reduced_numerators(cg: ClassGroup, h: ClassElement) -> list[int]:
     det = cg.order
     vec = [sum(c * num[i] for c, num in zip(h.coords, cg._numerators)) % det
            for i in range(len(cg.graph.ids))]
-    if _class_of(cg, vec, det) != h:  # pragma: no cover - cross-check
+    if _class_of(cg, vec, det) != h.coords:  # pragma: no cover - cross-check
         raise InternalError("reduced representative landed in the wrong class")
     return vec
 

@@ -25,7 +25,7 @@ from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
 from .graph import (ResolutionGraph, canonical_cycle, chi, cycle_vector, diagonal,
                     dual_coordinates, induced_subgraph, neighbours, per_graph,
-                    require_negative_definite, sparse_pairings, vector_cycle)
+                    require_negative_definite, sparse_pairings, vector_cycle, vertex_components)
 from .lattice import ClassElement, ClassGroup, reduced_numerators
 from .record import Record
 
@@ -33,20 +33,12 @@ TieBreak = Callable[[tuple[str, ...]], str]
 
 
 class LauferStep(Record):
+    # `value` is the running cycle's pairing with the vertex
     __slots__ = ("vertex", "value")
-
-    def __init__(self, vertex: str, value: Fraction):
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "value", value)  # the running cycle's pairing with the vertex
 
 
 class ComputationSequence(Record):
     __slots__ = ("start", "steps", "end")
-
-    def __init__(self, start: RatCycle, steps: tuple[LauferStep, ...], end: RatCycle):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "end", end)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -250,24 +242,7 @@ def h1_numerators(g: ResolutionGraph, vec: list[int], scale: int,
 
 def _components(g: ResolutionGraph, keep: list[str]) -> list[ResolutionGraph]:
     """The connected components of the subgraph on the given vertices."""
-    adjacent: dict[str, list[str]] = {vid: [] for vid in keep}
-    for u, v in g.edges:
-        if u in adjacent and v in adjacent:
-            adjacent[u].append(v)
-            adjacent[v].append(u)
-    parts, seen = [], set()
-    for vid in keep:
-        if vid in seen:
-            continue
-        reached, frontier = {vid}, [vid]
-        while frontier:
-            for nb in adjacent[frontier.pop()]:
-                if nb not in reached:
-                    reached.add(nb)
-                    frontier.append(nb)
-        seen |= reached
-        parts.append(induced_subgraph(g, reached))
-    return parts
+    return [induced_subgraph(g, part) for part in vertex_components(keep, g.edges)]
 
 
 def _minimal_non_rational_subgraph(g: ResolutionGraph) -> ResolutionGraph:
@@ -320,27 +295,12 @@ def minimally_elliptic_cycle(g: ResolutionGraph) -> RatCycle:
 
 
 class SingularityType(Record):
+    # `kind`: rational | elliptic | minimally-elliptic | cusp | other;
+    # `elliptic`: chi(Z_min) = 0 and not rational; `geometric_genus`: 0
+    # rational, 1 minimally elliptic, else unknown (None)
     __slots__ = ("kind", "rational", "elliptic", "minimally_elliptic", "cusp", "minimal_resolution",
                  "numerically_gorenstein", "tree_all_genus_zero", "elliptic_cycle_support_is_all",
                  "geometric_genus", "warnings")
-
-    def __init__(self, kind: str, rational: bool, elliptic: bool, minimally_elliptic: bool, cusp: bool,
-                 minimal_resolution: bool, numerically_gorenstein: bool, tree_all_genus_zero: bool,
-                 elliptic_cycle_support_is_all: bool | None, geometric_genus: int | None,
-                 warnings: tuple[str, ...]):
-        # rational | elliptic | minimally-elliptic | cusp | other
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "rational", rational)
-        object.__setattr__(self, "elliptic", elliptic)  # chi(Z_min) = 0 and not rational
-        object.__setattr__(self, "minimally_elliptic", minimally_elliptic)
-        object.__setattr__(self, "cusp", cusp)
-        object.__setattr__(self, "minimal_resolution", minimal_resolution)
-        object.__setattr__(self, "numerically_gorenstein", numerically_gorenstein)
-        object.__setattr__(self, "tree_all_genus_zero", tree_all_genus_zero)
-        object.__setattr__(self, "elliptic_cycle_support_is_all", elliptic_cycle_support_is_all)
-        # 0 rational, 1 minimally elliptic, else unknown
-        object.__setattr__(self, "geometric_genus", geometric_genus)
-        object.__setattr__(self, "warnings", warnings)
 
 
 @per_graph

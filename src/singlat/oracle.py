@@ -48,8 +48,7 @@ class Box(Record):
     _fields = ("bounds",)
 
     def __init__(self, bounds: tuple[tuple[str, int], ...]):
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "_by_vertex", dict(bounds))
+        super().__init__(bounds, dict(bounds))
 
     @classmethod
     def for_graph(cls, g: ResolutionGraph, scale: int = 3) -> "Box":
@@ -250,17 +249,9 @@ def brute_fundamental_cycle(g: ResolutionGraph, box: Optional[Box] = None) -> Op
 class CheckResult(Record):
     __slots__ = ("name", "passed", "detail")
 
-    def __init__(self, name: str, passed: bool, detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
 
 class VerificationTranscript(Record):
     __slots__ = ("checks",)
-
-    def __init__(self, checks: tuple[CheckResult, ...]):
-        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> bool:

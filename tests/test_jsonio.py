@@ -45,6 +45,22 @@ def test_cycle_off_the_graph_is_refused():
             to_json(obj, graph=g)
 
 
+def test_malformed_sequence_is_refused():
+    from singlat import ComputationSequence, LauferStep
+    g, v1 = catalog("A2"), RatCycle.unit("v1")
+    off_step = ComputationSequence(v1, (LauferStep("zz", 1),), v1)
+    with pytest.raises(InputError, match="unknown vertex id 'zz'"):
+        to_json(off_step, graph=g)
+    half = RatCycle({"v1": "1/2"})
+    for start, steps, end in ((v1, (LauferStep("v2", 1),), v1),
+                              (v1, (), v1 + RatCycle.unit("v2")),
+                              (half, (LauferStep("v1", 1),), half + half)):
+        with pytest.raises(InputError, match="one unit per step"):
+            to_json(ComputationSequence(start, steps, end), graph=g)
+    seq = fundamental_cycle(catalog("D5"))
+    assert json.loads(to_json(seq, graph=catalog("D5")))["type"] == "sequence"
+
+
 def test_class_group_json():
     g = catalog("paper-z7")
     doc = json.loads(to_json(class_group(g)))

@@ -1,7 +1,9 @@
 """The record classes behave as the frozen dataclasses they replace did.
 
-Equality, hashing and repr are pinned per class; assignment and deletion
-raise; and the CLI's import path never loads `dataclasses` or `inspect`.
+Equality, hashing and repr are pinned per class; construction binds by
+position or keyword with the same defaults and errors; assignment and
+deletion raise; and the CLI's import path never loads `dataclasses` or
+`inspect`.
 """
 
 import os
@@ -15,7 +17,13 @@ from singlat import (Box, Vertex, VerificationTranscript, blow_up, catalog, clas
                      classify_singularity, dual_basis, flat_annotation, full_sheaf_classes_rational,
                      fundamental_cycle, intersection_matrix, lattice_determinant, parse,
                      special_full_sheaves, verify_all, wunram_table)
-from singlat.classify import ClassificationReport
+from singlat.classify import FLAT_UNKNOWN, ClassificationReport, FullSheafFamily
+from singlat.oracle import CheckResult
+from singlat.record import Record
+
+# The records with slots derived from their arguments, which keep their own
+# `__init__`; every other record is built by `Record.__init__`.
+DERIVED = {"ResolutionGraph", "IntersectionMatrix", "Box"}
 
 
 def samples(n):
@@ -200,6 +208,84 @@ def test_records_are_frozen(name, pairs):
             delattr(record, field)
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+def arguments(record):
+    """The constructor's keyword names for a record and its values there."""
+    cls = type(record)
+    names = cls._fields if cls.__name__ in DERIVED else cls.__slots__
+    return names, [getattr(record, name) for name in names]
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+RECORDS = {cls.__name__: cls for cls in subclasses(Record)}
+
+
+def test_only_records_with_derived_slots_define_init():
+    assert sorted(RECORDS) == sorted(PINNED)
+    assert {name for name, cls in RECORDS.items() if "__init__" in vars(cls)} == DERIVED
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_keyword_and_positional_construction_agree(name, pairs):
+    record = pairs[name][0]
+    names, values = arguments(record)
+    cls = type(record)
+    built = (cls(*values), cls(**dict(zip(names, values))),
+             cls(*values[:1], **dict(zip(names[1:], values[1:]))))
+    for other in built:
+        assert other == record and repr(other) == repr(record)
+        assert all(getattr(other, n) == v for n, v in zip(names, values))
+
+
+DEFAULTED = sorted((name, field) for name, cls in RECORDS.items()
+                   for field in vars(cls).get("_defaults", ()))
+
+
+def test_the_dataclass_defaults_are_kept():
+    defaults = {name: vars(cls)["_defaults"] for name, cls in RECORDS.items()
+                if "_defaults" in vars(cls)}
+    assert defaults == {
+        "Vertex": {"genus": 0},
+        "GraphDocument": {"cycles": ()},
+        "FullSheafFamily": {"exceptions": (), "special": None, "flat_count": FLAT_UNKNOWN},
+        "ClassificationReport": {"notes": (), "inclusion_only": False},
+    }
+
+
+@pytest.mark.parametrize("name, field", DEFAULTED)
+def test_an_omitted_field_takes_its_default(name, field, pairs):
+    names, values = arguments(pairs[name][0])
+    cls = RECORDS[name]
+    given = {n: v for n, v in zip(names, values) if n != field}
+    assert getattr(cls(**given), field) == cls._defaults[field]
+
+
+def test_defaults_fill_trailing_positional_arguments():
+    assert Vertex("E1", -2) == Vertex("E1", -2, 0)
+    fam = FullSheafFamily((0,), singlat.RatCycle.zero(), 0)
+    assert (fam.exceptions, fam.special, fam.flat_count) == ((), None, FLAT_UNKNOWN)
+    assert FullSheafFamily((0,), singlat.RatCycle.zero(), 0, special=True).special is True
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Vertex("E1"), r"Vertex\(\) missing required arguments: 'euler'"),
+    (lambda: CheckResult(name="c", passed=True),
+     r"CheckResult\(\) missing required arguments: 'detail'"),
+    (lambda: Vertex("E1", -2, colour="red"),
+     r"Vertex\(\) got an unexpected keyword argument 'colour'"),
+    (lambda: Vertex("E1", -2, id="E2"), r"Vertex\(\) got multiple values for argument 'id'"),
+    (lambda: Vertex("E1", -2, 0, 1), r"Vertex\(\) takes 3 positional arguments but 4 were given"),
+    (lambda: CheckResult("c", True, "ok", None), r"takes 3 positional arguments but 4"),
+], ids=["missing", "missing-by-keyword", "unknown", "repeated", "too-many", "too-many-hot"])
+def test_bad_arguments_raise_type_error(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()
 
 
 def test_equal_graphs_with_different_memos_compare_equal():
