@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
-from .graph import (ResolutionGraph, adjugate, cycle_vector, diagonal, dual_basis, extend_graph,
-                    neighbours, sparse_pairings, vector_cycle)
-from .lattice import ClassGroup, class_group, class_of
-from .laufer import (SingularityType, classify_singularity, h1_numerators,
-                     h1_rational, laufer_rational, minimal_numerators, z_min_cycle)
+from .graph import (ResolutionGraph, adjugate, chi_numerator, cycle_vector, diagonal, dual_basis,
+                    extend_graph, neighbours, sparse_pairings, vector_cycle)
+from .lattice import ClassElement, ClassGroup, class_group, class_of
+from .laufer import (SingularityType, classify_singularity, laufer_rational, minimal_numerators,
+                     z_min_cycle)
 from .record import Record
 
 FLAT_ALL = "all"
@@ -63,16 +63,30 @@ def _flag_notes(g: ResolutionGraph, st: SingularityType) -> tuple[str, ...]:
     return tuple(notes)
 
 
+def _class_h1(g: ResolutionGraph, cg: ClassGroup, h: ClassElement) -> int:
+    """h1 of the bundle whose negated Chern class is the minimal cycle s_h,
+    on a rational graph: chi(-s_h) - chi(s_[-h]), to which the sum of
+    (pairing - 1) along the climb from -s_h to s_[-h] telescopes. Both
+    cycles come from the class table; each chi is taken times 2 det^2."""
+    det = cg.order
+    top = chi_numerator(g, [-x for x in minimal_numerators(g, cg, h)], det)
+    bottom = chi_numerator(g, minimal_numerators(g, cg, cg.neg(h)), det)
+    h1, rest = divmod(top - bottom, 2 * det * det)
+    if rest:  # pragma: no cover - the climb adds integer steps
+        raise InternalError(f"class {h.coords}: the chi difference is not an integer")
+    return h1
+
+
 def special_full_sheaves(g: ResolutionGraph) -> tuple[SpecialnessRecord, ...]:
     """Specialness of every nonzero-class family, triple-checked.
 
-    Three verdicts must agree for each class: the minimal cycle pairs to one
-    against the fundamental cycle; the minimal cycle is the dual of a vertex
-    of multiplicity one; and the cohomology sum along the computation
-    sequence vanishes. Disagreement is an internal bug, never user error.
-    All three run on the minimal cycle's numerators over det(-M): the dual
-    of vertex v has column v of adj(-M) as its numerators, so the witness
-    is a lookup.
+    Three verdicts must agree for each class: the minimal cycle s_h pairs to
+    one against the fundamental cycle; s_h is the dual of a vertex of
+    multiplicity one; and h1 = chi(-s_h) - chi(s_[-h]) vanishes.
+    Disagreement is an internal bug, never user error. All three run on
+    numerators over det(-M) from the class table, with no climb of their
+    own: the dual of vertex v has column v of adj(-M) as its numerators, so
+    the witness is a lookup.
     """
     if not laufer_rational(g):
         raise PreconditionError("specialness is defined here for rational graphs only")
@@ -91,7 +105,7 @@ def special_full_sheaves(g: ResolutionGraph) -> tuple[SpecialnessRecord, ...]:
         if rest:  # pragma: no cover - the minimal cycle is in the dual lattice
             raise InternalError("minimal cycle pairs fractionally with the fundamental cycle")
         witness = witnesses.get(end)
-        h1 = h1_numerators(g, end, det)
+        h1 = _class_h1(g, cg, h)
         verdicts = (value == 1, witness is not None, h1 == 0)
         if len(set(verdicts)) != 1:
             raise InternalError(
@@ -140,20 +154,13 @@ def wunram_table(g: ResolutionGraph) -> tuple[VertexRecord, ...]:
                     f"(multiplicity {mult}, extension rational {ext_rational}, "
                     f"special full {is_special_full})")
         else:
-            sheaf_exists = dual_is_min and h1_rational(g, dual) == 0 and not h.is_zero
+            sheaf_exists = dual_is_min and _class_h1(g, cg, h) == 0 and not h.is_zero
             if is_special_full != sheaf_exists:
                 raise InternalError(
                     f"vertex {vid!r}: special-full criteria disagree off the minimal resolution")
         rows.append(VertexRecord(
-            vertex=vid,
-            multiplicity=mult,
-            dual=dual,
-            class_coords=h.coords,
-            min_rep=rep,
-            dual_is_min_rep=dual_is_min,
-            special=is_special_full,
-            extended_rational=ext_rational,
-        ))
+            vertex=vid, multiplicity=mult, dual=dual, class_coords=h.coords, min_rep=rep,
+            dual_is_min_rep=dual_is_min, special=is_special_full, extended_rational=ext_rational))
     return tuple(rows)
 
 
@@ -181,14 +188,8 @@ def full_sheaf_classes_rational(g: ResolutionGraph) -> ClassificationReport:
     if len(cherns) != cg.order:  # pragma: no cover - cross-check
         raise InternalError("duplicate Chern classes across distinct classes")
     return ClassificationReport(
-        graph=g,
-        singularity=st,
-        class_order=cg.order,
-        class_factors=cg.factors,
-        families=tuple(families),
-        vertex_table=wunram_table(g),
-        notes=_flag_notes(g, st),
-    )
+        graph=g, singularity=st, class_order=cg.order, class_factors=cg.factors,
+        families=tuple(families), vertex_table=wunram_table(g), notes=_flag_notes(g, st))
 
 
 def full_sheaf_classes_min_elliptic(g: ResolutionGraph) -> ClassificationReport:
@@ -227,25 +228,12 @@ def full_sheaf_classes_min_elliptic(g: ResolutionGraph) -> ClassificationReport:
         notes = notes + ("a positive-genus curve is present: the family list is an "
                          "upper bound (inclusion), not an equality",)
     table = tuple(VertexRecord(
-        vertex=vid,
-        multiplicity=int(z_min.coefficient(vid)),
-        dual=dual,
-        class_coords=h.coords,
-        min_rep=rep,
-        dual_is_min_rep=None,
-        special=None,
-        extended_rational=None,
+        vertex=vid, multiplicity=int(z_min.coefficient(vid)), dual=dual, class_coords=h.coords,
+        min_rep=rep, dual_is_min_rep=None, special=None, extended_rational=None,
     ) for vid, dual, h, _dual_is_min, rep in _dual_classes(g, cg))
     return ClassificationReport(
-        graph=g,
-        singularity=st,
-        class_order=cg.order,
-        class_factors=cg.factors,
-        families=tuple(families),
-        vertex_table=table,
-        notes=notes,
-        inclusion_only=inclusion_only,
-    )
+        graph=g, singularity=st, class_order=cg.order, class_factors=cg.factors,
+        families=tuple(families), vertex_table=table, notes=notes, inclusion_only=inclusion_only)
 
 
 def flat_annotation(g: ResolutionGraph, report: ClassificationReport) -> ClassificationReport:

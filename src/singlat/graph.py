@@ -357,15 +357,19 @@ def canonical_cycle(g: ResolutionGraph) -> RatCycle:
 
 
 def chi(g: ResolutionGraph, cycle: RatCycle) -> Fraction:
-    """Riemann-Roch expression -(l, l - K)/2 against the canonical cycle.
-
-    Evaluated through the adjunction targets, so no linear solve is needed.
-    """
-    require_negative_definite(g)
+    """Riemann-Roch expression -(l, l - K)/2 against the canonical cycle."""
     vec, scale = cycle_vector(g, cycle)
+    return Fraction(chi_numerator(g, vec, scale), 2 * scale * scale)
+
+
+def chi_numerator(g: ResolutionGraph, vec: list[int], scale: int) -> int:
+    """2 scale^2 chi(l) for the cycle l with integer numerators `vec` over
+    `scale`. Evaluated through the adjunction targets, so no linear solve
+    is needed."""
+    require_negative_definite(g)
     with_k = sum(x * t for x, t in zip(vec, adjunction_targets(g)))
     self_pairing = sum(x * p for x, p in zip(vec, sparse_pairings(diagonal(g), neighbours(g), vec)))
-    return Fraction(with_k * scale - self_pairing, 2 * scale * scale)
+    return with_k * scale - self_pairing
 
 
 def blow_up(g: ResolutionGraph, locus: Union[str, tuple[str, str]]) -> tuple[ResolutionGraph, BlowUpMap]:
@@ -416,8 +420,7 @@ def total_transform(bmap: BlowUpMap, cycle: RatCycle) -> RatCycle:
     return RatCycle(data)
 
 
-def _extended(g: ResolutionGraph, vid: str, euler: int, known: dict) -> ResolutionGraph:
-    new_id = g.fresh_id("ext")
+def _extended(g: ResolutionGraph, vid: str, new_id: str, euler: int, known: dict) -> ResolutionGraph:
     verts = g.vertices + (Vertex(new_id, euler, 0),)
     return _derived(verts, g.edges + ((vid, new_id),), {_negative_definite: True, **known})
 
@@ -446,11 +449,12 @@ def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> Reso
     adj, det = adjugate(g), lattice_determinant(g)
     position = g.index(vid)
     adj_self = adj[position][position]
+    new_id = g.fresh_id("ext")
     if euler is not None:
         if not euler * det < -adj_self:
             raise PreconditionError(
                 f"extension at {vid!r} with Euler number {euler} is not negative definite")
-        return _extended(g, vid, euler, {})
+        return _extended(g, vid, new_id, euler, {})
 
     from . import laufer  # local import: the climb lives upstream
 
@@ -458,6 +462,5 @@ def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> Reso
     end = laufer._climb(diagonal(g), neighbours(g), start, 1, None, laufer._BOOTSTRAP_CAP,
                         ((position, 1),))[1]
     first = -(adj_self // det) - 1
-    ids = g.ids + (g.fresh_id("ext"),)
-    return _extended(g, vid, min(-2, first, -end[position]),
-                     {laufer.z_min_cycle: RatCycle(zip(ids, end + [1]))})
+    return _extended(g, vid, new_id, min(-2, first, -end[position]),
+                     {laufer.z_min_cycle: RatCycle(zip(g.ids + (new_id,), end + [1]))})

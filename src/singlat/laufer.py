@@ -8,9 +8,11 @@ only the path varies, and tests exercise randomized policies to confirm it.
 
 Each step costs O(deg) integer work on numerators over one scale: the
 positive vertices sit in a min-heap, and a step updates only the chosen
-vertex and its neighbours. Class cycles, h1 sums and Z_min climb from
-integers; only `antinef_closure` and `fundamental_cycle` build a sequence
-object.
+vertex and its neighbours. Class cycles, `h1_rational` and Z_min climb
+from integers; only `antinef_closure` and `fundamental_cycle` build a
+sequence object. As chi(x + E_v) = chi(x) + 1 - (x, E_v) on genus-zero
+vertices (Laufer, Amer. J. Math. 94, 1972), an h1 sum is chi(start) -
+chi(end), and `classify` reads it off the class table with no climb.
 The minimally elliptic cycle is a canonical cycle on a subgraph found by
 rationality tests, on every resolution; no grid of cycles is walked.
 """
@@ -23,8 +25,8 @@ from typing import Callable, Optional
 
 from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
-from .graph import (ResolutionGraph, canonical_cycle, chi, cycle_vector, diagonal,
-                    dual_coordinates, induced_subgraph, neighbours, per_graph,
+from .graph import (ResolutionGraph, adjugate, canonical_cycle, chi, cycle_vector, diagonal,
+                    dual_coordinates, induced_subgraph, lattice_determinant, neighbours, per_graph,
                     require_negative_definite, sparse_pairings, vector_cycle, vertex_components)
 from .lattice import ClassElement, ClassGroup, reduced_numerators
 from .record import Record
@@ -150,13 +152,20 @@ def fundamental_cycle(g: ResolutionGraph, start_vertex: str | None = None,
     return _run_sequence(g, start, tie_break, _BOOTSTRAP_CAP)
 
 
+@per_graph
+def _adjugate_column_sums(g: ResolutionGraph) -> tuple[int, ...]:
+    return tuple(map(sum, adjugate(g)))  # adj(-M) is symmetric
+
+
 def _step_cap(g: ResolutionGraph, vec: list[int], scale: int) -> int:
-    # A cap proportional to |start| + 2*Z_min alone is too tight: a start
-    # near -2*Z_min makes it vanish while the honest climb back into the
-    # anti-nef cone is long. Scale with the start and the fundamental cycle
-    # separately; any runaway loop still overshoots this immediately.
-    z_min_total = sum(int(q) for _, q in z_min_cycle(g).items())
-    return 64 + 16 * (z_min_total - (-sum(map(abs, vec)) // scale))
+    """A proven bound on the steps of a climb from x = vec / scale: with
+    a_v = ceil(max(0, (x, E_v)) / det(-M)), y = x + sum a_v det(-M) E_v^* is
+    anti-nef, at least x and in x's class, as det(-M) E_v^* is column v of
+    adj(-M). The climb stays below y: at most sum a_v (column sum v) steps."""
+    unit = scale * lattice_determinant(g)
+    levels = sparse_pairings(diagonal(g), neighbours(g), vec)
+    return sum(-(-level // unit) * total
+               for level, total in zip(levels, _adjugate_column_sums(g)) if level > 0)
 
 
 def antinef_closure(g: ResolutionGraph, start: RatCycle,
@@ -228,13 +237,7 @@ def h1_rational(g: ResolutionGraph, chern: RatCycle,
     the negated class. Independent of the vertex choices made."""
     if not laufer_rational(g):
         raise PreconditionError("the h1 sequence formula requires a rational graph")
-    return h1_numerators(g, *cycle_vector(g, chern), tie_break)
-
-
-def h1_numerators(g: ResolutionGraph, vec: list[int], scale: int,
-                  tie_break: Optional[TieBreak] = None) -> int:
-    """`h1_rational` of the Chern class with numerators `vec` over `scale`,
-    on a graph already known to be rational."""
+    vec, scale = cycle_vector(g, chern)
     dual_coordinates(g, vec, scale, "Chern class")
     steps, _end = _sequence(g, [-x for x in vec], scale, tie_break)
     return sum(value // scale - 1 for _, value in steps)

@@ -6,8 +6,8 @@ import pytest
 from singlat import (PreconditionError, RatCycle, blow_up, catalog, class_group,
                      class_of, dual_basis, flat_annotation,
                      full_sheaf_classes_min_elliptic, full_sheaf_classes_rational,
-                     fundamental_cycle, minimal_antinef_rep, special_full_sheaves,
-                     total_transform, wunram_table)
+                     fundamental_cycle, h1_rational, minimal_antinef_rep,
+                     special_full_sheaves, total_transform, wunram_table)
 from singlat.classify import FLAT_ALL, FLAT_EXACTLY_ONE, FLAT_UNKNOWN, FLAT_ZERO_KNOWN
 from singlat.cli import main
 from singlat.dsl import GraphDocument, serialize
@@ -81,9 +81,24 @@ def test_special_z7(z7):
 
 
 def test_special_agreement_corpus(rational_corpus):
-    # raising is the failure mode; these must simply run
+    # raising is the failure mode; the h1 read from the class table must
+    # also match the sequence sum, as an int
     for g in rational_corpus[:25]:
-        special_full_sheaves(g)
+        for rec in special_full_sheaves(g):
+            assert type(rec.h1_value) is int
+            assert rec.h1_value == h1_rational(g, rec.min_rep), (g, rec)
+
+
+def test_special_climbs_once_per_class(monkeypatch):
+    """On a fresh graph, `special_full_sheaves` climbs for Z_min and for each
+    nonzero class's minimal cycle, and for no h1 sum."""
+    from singlat import laufer
+    g = catalog("paper-z7")
+    climbs = []
+    climb = laufer._climb
+    monkeypatch.setattr(laufer, "_climb", lambda *args: climbs.append(args) or climb(*args))
+    special_full_sheaves(g)
+    assert len(climbs) == class_group(g).order
 
 
 # --- per-vertex table ---
@@ -102,13 +117,21 @@ def test_wunram_z7(z7):
     assert (table["E1"].class_coords != table["E4"].class_coords)
 
 
-def test_wunram_blown_up(z7):
+def test_wunram_blown_up(z7, rational_corpus):
     target, _ = blow_up(z7, "E4")
     table = {row.vertex: row for row in wunram_table(target)}
     new_row = table["new"]
     assert new_row.multiplicity == 1
     assert not new_row.dual_is_min_rep   # not full with that Chern class
     assert not new_row.special
+    # the non-minimal branch cross-checks its verdicts, raising on a disagreement
+    for g in rational_corpus[:10]:
+        target, _ = blow_up(g, g.ids[-1])
+        assert not target.is_minimal_resolution
+        rows = wunram_table(target)
+        assert [row.vertex for row in rows] == list(target.ids)
+        assert sum(row.special for row in rows) == sum(
+            rec.special for rec in special_full_sheaves(target))
 
 
 # --- minimally elliptic classification ---

@@ -103,6 +103,14 @@ def test_classify_and_special_on_long_a_and_d(capsys, name, specials):
     assert sum(row["special"] for row in doc["rows"]) == specials
 
 
+def test_sh_past_the_old_step_cap(capsys):
+    """D148's class climbs outgrow a cap linear in the cycles' size; the
+    proven cap from the adjugate lets them finish."""
+    code, doc, err = run_json(capsys, "sh", "--catalog", "D148")
+    assert code == 0, err
+    assert len(doc["rows"]) == 4
+
+
 def test_special_refuses_cusp(capsys):
     code, _out, err = run(capsys, "special", "--catalog", "cusp-3x3")
     assert code == 2
