@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
-from .graph import (ResolutionGraph, adjugate, chi_numerator, cycle_vector, diagonal, dual_basis,
+from .graph import (ResolutionGraph, adjugate, chi_numerator, cycle_vector, diagonal,
                     extend_graph, neighbours, sparse_pairings, vector_cycle)
-from .lattice import ClassElement, ClassGroup, class_group, class_of
+from .lattice import ClassElement, ClassGroup, _class_of, class_group
 from .laufer import (SingularityType, classify_singularity, laufer_rational, minimal_numerators,
                      z_min_cycle)
 from .record import Record
@@ -119,13 +119,13 @@ def special_full_sheaves(g: ResolutionGraph) -> tuple[SpecialnessRecord, ...]:
 def _dual_classes(g: ResolutionGraph, cg: ClassGroup):
     """Per vertex: its id, its dual cycle, the dual's class, and whether
     the dual is the class's minimal cycle, with that minimal cycle."""
-    duals = dual_basis(g)
+    det = cg.order
     for vid, column in zip(g.ids, adjugate(g)):
-        dual = duals[vid]
-        h = class_of(cg, dual)
+        dual = vector_cycle(g, column, det)
+        h = ClassElement(_class_of(cg, column, det))
         end = minimal_numerators(g, cg, h)
         dual_is_min = end == column
-        yield vid, dual, h, dual_is_min, dual if dual_is_min else vector_cycle(g, end, cg.order)
+        yield vid, dual, h, dual_is_min, dual if dual_is_min else vector_cycle(g, end, det)
 
 
 def wunram_table(g: ResolutionGraph) -> tuple[VertexRecord, ...]:

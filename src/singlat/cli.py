@@ -7,17 +7,16 @@ Exit codes: 0 success, 1 user or input error, 2 precondition unmet,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from . import dsl, jsonio, oracle
 from .classify import (flat_annotation, full_sheaf_classes_min_elliptic,
                        full_sheaf_classes_rational, special_full_sheaves, wunram_table)
-from .cycles import RatCycle
 from .errors import InputError, InternalError, PreconditionError, SinglatError
-from .graph import (ResolutionGraph, _negative_definite, blow_up, canonical_cycle, chi,
-                    dual_basis, extend_graph, lattice_determinant, total_transform,
-                    vector_cycle)
+from .graph import (ResolutionGraph, _negative_definite, adjugate, blow_up, canonical_cycle, chi,
+                    cycle_vector, extend_graph, lattice_determinant, total_transform)
 from .lattice import class_group, class_of, reduced_numerators
 from .laufer import (classify_singularity, laufer_rational, minimal_antinef_rep,
                      minimal_numerators, z_min_cycle)
@@ -29,15 +28,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def format_cycle(g: ResolutionGraph, cycle: RatCycle) -> str:
-    if not cycle:
-        return "0"
+def format_cycle(g: ResolutionGraph, vec, scale: int) -> str:
+    """The cycle with integer numerators `vec` over `scale` in vertex order,
+    as text: each nonzero coefficient in lowest terms, a bare id for 1."""
     terms = []
-    for vid in g.ids:
-        q = cycle.coefficient(vid)
-        if q:
-            terms.append(vid if q == 1 else f"{q}*{vid}")
-    return " + ".join(terms)
+    for vid, x in zip(g.ids, vec):
+        if x:
+            d = math.gcd(x, scale)
+            q = str(x // d) if d == scale else f"{x // d}/{scale // d}"
+            terms.append(vid if x == scale else f"{q}*{vid}")
+    return " + ".join(terms) or "0"
 
 
 def _load_graph(args) -> ResolutionGraph:
@@ -115,36 +115,36 @@ def cmd_check(args) -> int:
 def cmd_invariants(args) -> int:
     g = _load_graph(args)
     cg = class_group(g)
-    z_min = z_min_cycle(g)
-    z_k = canonical_cycle(g)
-    duals = dual_basis(g)
-    chi_min = chi(g, z_min)
+    chi_min = chi(g, z_min_cycle(g))
+    z_min, z_k = cycle_vector(g, z_min_cycle(g)), cycle_vector(g, canonical_cycle(g))
+    # column v of adj(-M) over det(-M) is the dual cycle E_v^*
+    duals, det = tuple(zip(g.ids, adjugate(g))), lattice_determinant(g)
     _maybe_verify(args, g)
 
     def payload():
         return {
             "graph": jsonio.encode_graph(g),
-            "determinant": str(lattice_determinant(g)),
+            "determinant": str(det),
             "class_group": jsonio.encode_class_group(cg),
-            "fundamental_cycle": jsonio.encode_cycle(g, z_min),
-            "canonical_cycle": jsonio.encode_cycle(g, z_k),
-            "canonical_is_integral": z_k.is_integral,
+            "fundamental_cycle": jsonio.encode_numerators(*z_min),
+            "canonical_cycle": jsonio.encode_numerators(*z_k),
+            "canonical_is_integral": z_k[1] == 1,
             "chi_fundamental": jsonio.encode_rational(chi_min),
-            "dual_cycles": {vid: jsonio.encode_cycle(g, duals[vid]) for vid in g.ids},
+            "dual_cycles": {vid: jsonio.encode_numerators(col, det) for vid, col in duals},
         }
 
     def lines():
         factors = " x ".join(f"Z/{f}" for f in cg.factors) or "trivial"
         return [
-            f"determinant: {lattice_determinant(g)}",
+            f"determinant: {det}",
             f"class group: {factors} (order {cg.order})",
             f"graph betti_1: {g.betti1}",
-            f"fundamental cycle: {format_cycle(g, z_min)}",
-            f"canonical cycle: {format_cycle(g, z_k)}"
-            + (" (integral)" if z_k.is_integral else " (not integral)"),
+            f"fundamental cycle: {format_cycle(g, *z_min)}",
+            f"canonical cycle: {format_cycle(g, *z_k)}"
+            + (" (integral)" if z_k[1] == 1 else " (not integral)"),
             f"chi(fundamental cycle): {chi_min}",
             "dual cycles:",
-        ] + [f"  {vid}*: {format_cycle(g, duals[vid])}" for vid in g.ids]
+        ] + [f"  {vid}*: {format_cycle(g, col, det)}" for vid, col in duals]
 
     _emit(args, "invariants", payload, lines)
     return 0
@@ -159,22 +159,21 @@ def cmd_sh(args) -> int:
         start = reduced_numerators(cg, h)
         end = minimal_numerators(g, cg, h, start=start)
         # each step of the climb from start to end adds det(-M) to one numerator
-        rows.append((h, vector_cycle(g, start, det), vector_cycle(g, end, det),
-                     (sum(end) - sum(start)) // det))
+        rows.append((h, start, end, (sum(end) - sum(start)) // det))
     _maybe_verify(args, g)
 
     def payload():
         return {"graph": jsonio.encode_graph(g), "rows": [{
             "class": [str(c) for c in h.coords],
-            "reduced_rep": jsonio.encode_cycle(g, rep),
-            "min_rep": jsonio.encode_cycle(g, min_rep),
+            "reduced_rep": jsonio.encode_numerators(rep, det),
+            "min_rep": jsonio.encode_numerators(end, det),
             "steps": str(steps),
-        } for h, rep, min_rep, steps in rows]}
+        } for h, rep, end, steps in rows]}
 
     def lines():
         return [f"classes: {cg.order}"] + [
-            f"h={h.coords}: r = {format_cycle(g, rep)}; s = {format_cycle(g, min_rep)}; "
-            f"steps = {steps}" for h, rep, min_rep, steps in rows]
+            f"h={h.coords}: r = {format_cycle(g, rep, det)}; s = {format_cycle(g, end, det)}; "
+            f"steps = {steps}" for h, rep, end, steps in rows]
 
     _emit(args, "sh-table", payload, lines)
     return 0
@@ -202,7 +201,7 @@ def cmd_classify(args) -> int:
             out.append("inclusion-only: the family list is an upper bound")
         for fam in report.families:
             desc = [f"h={fam.class_coords}",
-                    f"-c1 = {format_cycle(g, fam.chern_class)}",
+                    f"-c1 = {format_cycle(g, *cycle_vector(g, fam.chern_class))}",
                     f"dim {fam.family_dim}",
                     f"flat: {fam.flat_count}"]
             if fam.special is not None:
@@ -302,8 +301,9 @@ def cmd_blowup(args) -> int:
     def lines():
         return [source_text.rstrip("\n"),
                 "class | s | total transform | s of transformed class | equal"] + [
-            f"{h.coords} | {format_cycle(g, rep)} | {format_cycle(target, pushed)} | "
-            f"{format_cycle(target, rep_new)} | {pushed == rep_new}"
+            f"{h.coords} | {format_cycle(g, *cycle_vector(g, rep))} | "
+            f"{format_cycle(target, *cycle_vector(target, pushed))} | "
+            f"{format_cycle(target, *cycle_vector(target, rep_new))} | {pushed == rep_new}"
             for h, rep, pushed, h_new, rep_new in rows]
 
     _emit(args, "blowup", payload, lines)

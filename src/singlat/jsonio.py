@@ -2,16 +2,19 @@
 
 Integers are serialised as strings so consumers never face 64-bit overflow;
 rationals are {"num", "den"} string pairs with positive denominator; cycle
-coefficients are arrays ordered like the graph's vertex list. Every
-top-level document carries the schema version. `dumps` writes a document
-in the `indent=2` form of the standard library by itself, as that form
-sends `json.dumps` to its pure-Python encoder.
+coefficients are arrays ordered like the graph's vertex list. Cycles come
+as integer numerators over a scale, and `encode_numerators` is their one
+writer, in lowest terms; a `RatCycle` field goes through `cycle_vector`
+once, in `encode_cycle`. Every top-level document carries the schema
+version. `dumps` writes a document in the `indent=2` form of the standard
+library by itself, as that form sends `json.dumps` to its pure-Python encoder.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring
+from math import gcd
 
 from .classify import ClassificationReport, FullSheafFamily, SpecialnessRecord, VertexRecord
 from .cycles import RatCycle
@@ -31,8 +34,14 @@ def encode_rational(q) -> dict:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
+def encode_numerators(vec, scale: int) -> list[dict]:
+    """The rationals x / scale for x in `vec`, each in lowest terms: the
+    one writer of cycles, which leave the program as numerators."""
+    return [{"num": str(x // (d := gcd(x, scale))), "den": str(scale // d)} for x in vec]
+
+
 def encode_cycle(g: ResolutionGraph, cycle: RatCycle) -> list[dict]:
-    return [encode_rational(cycle.coefficient(vid)) for vid in g.ids]
+    return encode_numerators(*cycle_vector(g, cycle))
 
 
 def encode_graph(g: ResolutionGraph, name: str | None = None) -> dict:
@@ -50,7 +59,7 @@ def encode_class_group(cg: ClassGroup) -> dict:
     return {
         "order": str(cg.order),
         "factors": [str(f) for f in cg.factors],
-        "generators": [encode_cycle(cg.graph, gen) for gen in cg.generators],
+        "generators": [encode_numerators(num, cg.order) for num in cg._numerators],
         "graph_betti1": str(cg.graph.betti1),
     }
 
@@ -156,7 +165,7 @@ def to_json(obj, graph: ResolutionGraph | None = None) -> str:
     elif isinstance(obj, RatCycle):
         if graph is None:
             raise InputError("serialising a bare cycle needs the graph for vertex order")
-        cycle_vector(graph, obj)  # refuses a coefficient off the graph
+        # its one `cycle_vector` refuses a coefficient off the graph
         doc = document("cycle", {"vertices": list(graph.ids),
                                  "coefficients": encode_cycle(graph, obj)})
     elif isinstance(obj, ComputationSequence):

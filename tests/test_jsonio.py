@@ -1,13 +1,15 @@
 import json
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from singlat import (InputError, RatCycle, catalog, class_group, classify_singularity,
                      flat_annotation, full_sheaf_classes_rational, fundamental_cycle,
                      verify_all)
-from singlat.jsonio import dumps, to_json
+from singlat.cli import format_cycle
+from singlat.jsonio import dumps, encode_numerators, encode_rational, to_json
 from singlat.schema import validate
 
 from conftest import graph
@@ -142,3 +144,34 @@ def test_dumps_of_empty_containers_and_literals():
 def test_dumps_refuses_numbers_and_other_types(doc):
     with pytest.raises(TypeError):
         dumps(doc)
+
+
+def ratcycle_format(g, cycle):
+    """The text writer of cycles before it took numerators, kept as a reference."""
+    if not cycle:
+        return "0"
+    terms = []
+    for vid in g.ids:
+        q = cycle.coefficient(vid)
+        if q:
+            terms.append(vid if q == 1 else f"{q}*{vid}")
+    return " + ".join(terms)
+
+
+@st.composite
+def numerators(draw):
+    scale = draw(st.integers(1, 30))
+    entry = st.one_of(st.integers(-90, 90), st.sampled_from((0, scale, -scale)))
+    return draw(st.lists(entry, min_size=1, max_size=6)), scale
+
+
+@given(numerators())
+@example(([1, 0, -3, 1], 1))
+@example(([0, 0], 7))
+@example(([6, -4, 12, 5], 6))
+def test_numerator_writers_match_fractions(vec_scale):
+    vec, scale = vec_scale
+    assert encode_numerators(vec, scale) == [encode_rational(Fraction(x, scale)) for x in vec]
+    g = catalog(f"A{len(vec)}")
+    cycle = RatCycle(zip(g.ids, (Fraction(x, scale) for x in vec)))
+    assert format_cycle(g, vec, scale) == ratcycle_format(g, cycle)
