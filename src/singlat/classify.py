@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
-from .graph import (ResolutionGraph, adjugate, chi_numerator, cycle_vector, diagonal,
-                    extend_graph, neighbours, sparse_pairings, vector_cycle)
+from .graph import (ResolutionGraph, adjugate, chi_numerator, diagonal, extend_graph, neighbours,
+                    sparse_pairings, vector_cycle)
 from .lattice import ClassElement, ClassGroup, _class_of, class_group
-from .laufer import (SingularityType, classify_singularity, laufer_rational, minimal_numerators,
-                     z_min_cycle)
+from .laufer import (SingularityType, classify_singularity, laufer_rational, minimal_antinef_rep,
+                     minimal_numerators, z_min_cycle, z_min_numerators)
 from .record import Record
 
 FLAT_ALL = "all"
@@ -92,7 +92,7 @@ def special_full_sheaves(g: ResolutionGraph) -> tuple[SpecialnessRecord, ...]:
         raise PreconditionError("specialness is defined here for rational graphs only")
     cg = class_group(g)
     det = cg.order
-    z_vec = cycle_vector(g, z_min_cycle(g))[0]
+    z_vec = z_min_numerators(g)
     z_pairings = sparse_pairings(diagonal(g), neighbours(g), z_vec)
     # adj(-M) is symmetric: its row v is the column of the dual of v
     witnesses = {column: vid for vid, column, z in zip(g.ids, adjugate(g), z_vec) if z == 1}
@@ -140,11 +140,9 @@ def wunram_table(g: ResolutionGraph) -> tuple[VertexRecord, ...]:
     if not laufer_rational(g):
         raise PreconditionError("the per-vertex table is defined for rational graphs only")
     cg = class_group(g)
-    z_min = z_min_cycle(g)
     minimal = g.is_minimal_resolution
     rows = []
-    for vid, dual, h, dual_is_min, rep in _dual_classes(g, cg):
-        mult = int(z_min.coefficient(vid))
+    for mult, (vid, dual, h, dual_is_min, rep) in zip(z_min_numerators(g), _dual_classes(g, cg)):
         ext_rational = laufer_rational(extend_graph(g, vid))
         is_special_full = dual_is_min and mult == 1
         if minimal:
@@ -209,16 +207,14 @@ def full_sheaf_classes_min_elliptic(g: ResolutionGraph) -> ClassificationReport:
             "the elliptic cycle is not supported on every vertex; "
             "this classifier requires full support (as in the minimal resolution)")
     cg = class_group(g)
-    z_min = z_min_cycle(g)
     families = []
     for h in cg.elements():
         if h.is_zero:
             continue
-        rep = vector_cycle(g, minimal_numerators(g, cg, h), cg.order)
-        families.append(FullSheafFamily(h.coords, rep, 1))
+        families.append(FullSheafFamily(h.coords, minimal_antinef_rep(g, cg, h), 1))
     zero = cg.zero()
     families.append(FullSheafFamily(
-        zero.coords, z_min, 1,
+        zero.coords, z_min_cycle(g), 1,
         exceptions=("one analytically distinguished bundle with this Chern class "
                     "is excluded; which one is not a lattice question",)))
     families.append(FullSheafFamily(zero.coords, RatCycle.zero(), 0))
@@ -228,9 +224,9 @@ def full_sheaf_classes_min_elliptic(g: ResolutionGraph) -> ClassificationReport:
         notes = notes + ("a positive-genus curve is present: the family list is an "
                          "upper bound (inclusion), not an equality",)
     table = tuple(VertexRecord(
-        vertex=vid, multiplicity=int(z_min.coefficient(vid)), dual=dual, class_coords=h.coords,
+        vertex=vid, multiplicity=mult, dual=dual, class_coords=h.coords,
         min_rep=rep, dual_is_min_rep=None, special=None, extended_rational=None,
-    ) for vid, dual, h, _dual_is_min, rep in _dual_classes(g, cg))
+    ) for mult, (vid, dual, h, _, rep) in zip(z_min_numerators(g), _dual_classes(g, cg)))
     return ClassificationReport(
         graph=g, singularity=st, class_order=cg.order, class_factors=cg.factors,
         families=tuple(families), vertex_table=table, notes=notes, inclusion_only=inclusion_only)

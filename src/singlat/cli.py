@@ -10,16 +10,16 @@ import argparse
 import math
 import os
 import sys
+from fractions import Fraction
 
 from . import dsl, jsonio, oracle
 from .classify import (flat_annotation, full_sheaf_classes_min_elliptic,
                        full_sheaf_classes_rational, special_full_sheaves, wunram_table)
 from .errors import InputError, InternalError, PreconditionError, SinglatError
-from .graph import (ResolutionGraph, _negative_definite, adjugate, blow_up, canonical_cycle, chi,
-                    cycle_vector, extend_graph, lattice_determinant, total_transform)
-from .lattice import class_group, class_of, reduced_numerators
-from .laufer import (classify_singularity, laufer_rational, minimal_antinef_rep,
-                     minimal_numerators, z_min_cycle)
+from .graph import (ResolutionGraph, _negative_definite, adjugate, blow_up, canonical_numerators,
+                    chi_numerator, cycle_vector, extend_graph, transform_numerators)
+from .lattice import ClassElement, _class_of, class_group, reduced_numerators
+from .laufer import classify_singularity, laufer_rational, minimal_numerators, z_min_numerators
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,10 +115,11 @@ def cmd_check(args) -> int:
 def cmd_invariants(args) -> int:
     g = _load_graph(args)
     cg = class_group(g)
-    chi_min = chi(g, z_min_cycle(g))
-    z_min, z_k = cycle_vector(g, z_min_cycle(g)), cycle_vector(g, canonical_cycle(g))
+    z_min, z_k = z_min_numerators(g), canonical_numerators(g)
+    chi_min = Fraction(chi_numerator(g, z_min, 1), 2)
     # column v of adj(-M) over det(-M) is the dual cycle E_v^*
-    duals, det = tuple(zip(g.ids, adjugate(g))), lattice_determinant(g)
+    duals, det = tuple(zip(g.ids, adjugate(g))), cg.order
+    integral = not any(x % det for x in z_k)
     _maybe_verify(args, g)
 
     def payload():
@@ -126,9 +127,9 @@ def cmd_invariants(args) -> int:
             "graph": jsonio.encode_graph(g),
             "determinant": str(det),
             "class_group": jsonio.encode_class_group(cg),
-            "fundamental_cycle": jsonio.encode_numerators(*z_min),
-            "canonical_cycle": jsonio.encode_numerators(*z_k),
-            "canonical_is_integral": z_k[1] == 1,
+            "fundamental_cycle": jsonio.encode_numerators(z_min, 1),
+            "canonical_cycle": jsonio.encode_numerators(z_k, det),
+            "canonical_is_integral": integral,
             "chi_fundamental": jsonio.encode_rational(chi_min),
             "dual_cycles": {vid: jsonio.encode_numerators(col, det) for vid, col in duals},
         }
@@ -139,9 +140,9 @@ def cmd_invariants(args) -> int:
             f"determinant: {det}",
             f"class group: {factors} (order {cg.order})",
             f"graph betti_1: {g.betti1}",
-            f"fundamental cycle: {format_cycle(g, *z_min)}",
-            f"canonical cycle: {format_cycle(g, *z_k)}"
-            + (" (integral)" if z_k[1] == 1 else " (not integral)"),
+            f"fundamental cycle: {format_cycle(g, z_min, 1)}",
+            f"canonical cycle: {format_cycle(g, z_k, det)}"
+            + (" (integral)" if integral else " (not integral)"),
             f"chi(fundamental cycle): {chi_min}",
             "dual cycles:",
         ] + [f"  {vid}*: {format_cycle(g, col, det)}" for vid, col in duals]
@@ -187,9 +188,10 @@ def cmd_classify(args) -> int:
     elif st.minimally_elliptic:
         report = full_sheaf_classes_min_elliptic(g)
     else:
+        chi_min = Fraction(chi_numerator(g, z_min_numerators(g), 1), 2)
         raise PreconditionError(
             f"graph is neither rational nor minimally elliptic (classified as {st.kind}; "
-            f"chi of the fundamental cycle is {chi(g, z_min_cycle(g))})")
+            f"chi of the fundamental cycle is {chi_min})")
     report = flat_annotation(g, report)
     _maybe_verify(args, g)
 
@@ -243,7 +245,7 @@ def cmd_extend(args) -> int:
     ext = extend_graph(g, args.vertex, args.euler)
     new_id = ext.ids[-1]
     text_doc = dsl.serialize(dsl.GraphDocument(None, ext.vertices, ext.edges))
-    mult = z_min_cycle(ext).coefficient(new_id)
+    mult = z_min_numerators(ext)[-1]
     rational = laufer_rational(ext)
     _maybe_verify(args, ext)
 
@@ -274,13 +276,14 @@ def cmd_blowup(args) -> int:
     target, bmap = blow_up(g, locus)
     cg = class_group(g)
     cg_new = class_group(target)
+    det = cg.order  # a blow-up keeps det(-M): every row is numerators over it
     source_text = dsl.serialize(dsl.GraphDocument(None, target.vertices, target.edges))
     rows = []
     for h in cg.elements():
-        rep = minimal_antinef_rep(g, cg, h)
-        pushed = total_transform(bmap, rep)
-        h_new = class_of(cg_new, pushed)
-        rows.append((h, rep, pushed, h_new, minimal_antinef_rep(target, cg_new, h_new)))
+        rep = minimal_numerators(g, cg, h)
+        pushed = transform_numerators(bmap, rep)
+        h_new = ClassElement(_class_of(cg_new, pushed, det))
+        rows.append((h, rep, pushed, h_new, minimal_numerators(target, cg_new, h_new)))
     _maybe_verify(args, target)
 
     def payload():
@@ -290,10 +293,10 @@ def cmd_blowup(args) -> int:
             "new_vertex": bmap.new_id,
             "transform_table": [{
                 "class": [str(c) for c in h.coords],
-                "min_rep": jsonio.encode_cycle(g, rep),
-                "transform": jsonio.encode_cycle(target, pushed),
+                "min_rep": jsonio.encode_numerators(rep, det),
+                "transform": jsonio.encode_numerators(pushed, det),
                 "target_class": [str(c) for c in h_new.coords],
-                "target_min_rep": jsonio.encode_cycle(target, rep_new),
+                "target_min_rep": jsonio.encode_numerators(rep_new, det),
                 "transform_is_min": pushed == rep_new,
             } for h, rep, pushed, h_new, rep_new in rows],
         }
@@ -301,9 +304,8 @@ def cmd_blowup(args) -> int:
     def lines():
         return [source_text.rstrip("\n"),
                 "class | s | total transform | s of transformed class | equal"] + [
-            f"{h.coords} | {format_cycle(g, *cycle_vector(g, rep))} | "
-            f"{format_cycle(target, *cycle_vector(target, pushed))} | "
-            f"{format_cycle(target, *cycle_vector(target, rep_new))} | {pushed == rep_new}"
+            f"{h.coords} | {format_cycle(g, rep, det)} | {format_cycle(target, pushed, det)} | "
+            f"{format_cycle(target, rep_new, det)} | {pushed == rep_new}"
             for h, rep, pushed, h_new, rep_new in rows]
 
     _emit(args, "blowup", payload, lines)
@@ -312,7 +314,7 @@ def cmd_blowup(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.name is None:
-        names = dsl.catalog_names()
+        names = dsl.catalog_names() + dsl._KNOWN_PATTERNS
         _emit(args, "catalog-list", lambda: {"names": list(names)}, lambda: names)
         return 0
     source = dsl.catalog_source(args.name)

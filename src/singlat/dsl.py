@@ -275,7 +275,8 @@ _KNOWN_PATTERNS = ("A<n>", "D<n>")
 
 
 def catalog_names() -> tuple[str, ...]:
-    return tuple(sorted(_STATIC_CATALOG)) + _KNOWN_PATTERNS
+    """The static catalog's names; the families are `_KNOWN_PATTERNS`."""
+    return tuple(sorted(_STATIC_CATALOG))
 
 
 def catalog_source(name: str) -> str:
@@ -297,7 +298,7 @@ def catalog_source(name: str) -> str:
             lines += [f"edge v{i} v{i + 1}" for i in range(1, n - 2)]
             lines += [f"edge v{n - 2} v{n - 1}", f"edge v{n - 2} v{n}"]
             return "\n".join(lines) + "\n"
-    known = ", ".join(catalog_names())
+    known = ", ".join(catalog_names() + _KNOWN_PATTERNS)
     raise InputError(f"unknown catalog graph {name!r}; known names: {known}")
 
 

@@ -8,8 +8,9 @@ because links are connected.
 
 A graph runs at most one elimination, on [-M | I]: its pivots decide
 definiteness and give det(-M), and adj(-M) = det(-M) (-M)^-1 gives the dual
-cycles, the canonical cycle and the Schur complement of an extension.
-"""
+cycles, the canonical cycle and the Schur complement of an extension. Cycles
+are integer numerators in vertex order, and `cycle_vector` and
+`vector_cycle` convert to and from a `RatCycle` at the edge only."""
 
 from __future__ import annotations
 
@@ -330,9 +331,8 @@ def dual_cycle(g: ResolutionGraph, vid: str) -> RatCycle:
     Its coefficients form the corresponding column of (-M)^-1 and are all
     strictly positive on a connected negative-definite graph.
     """
-    col = g.index(vid)
-    adj, det = adjugate(g), lattice_determinant(g)
-    return RatCycle({wid: Fraction(row[col], det) for wid, row in zip(g.ids, adj)})
+    col = g.index(vid)  # adj(-M) is symmetric: row col is the column
+    return vector_cycle(g, adjugate(g)[col], lattice_determinant(g))
 
 
 def dual_basis(g: ResolutionGraph) -> dict[str, RatCycle]:
@@ -345,15 +345,17 @@ def adjunction_targets(g: ResolutionGraph) -> list[int]:
 
 
 @per_graph
-def canonical_cycle(g: ResolutionGraph) -> RatCycle:
-    """The unique rational cycle realising the adjunction pairings:
-    M K = t, so K = -adj(-M) t / det(-M).
+def canonical_numerators(g: ResolutionGraph) -> tuple[int, ...]:
+    """The numerators over det(-M), in vertex order, of the canonical cycle
+    K, the rational cycle with the adjunction pairings: M K = t, so
+    K = -adj(-M) t / det(-M). No remainder is the numerically Gorenstein condition."""
+    t = adjunction_targets(g)
+    return tuple(-sum(a * x for a, x in zip(row, t)) for row in adjugate(g))
 
-    Integrality of the result is the numerically Gorenstein condition.
-    """
-    adj, det, t = adjugate(g), lattice_determinant(g), adjunction_targets(g)
-    return RatCycle({vid: Fraction(-sum(a * x for a, x in zip(row, t)), det)
-                     for vid, row in zip(g.ids, adj)})
+
+def canonical_cycle(g: ResolutionGraph) -> RatCycle:
+    """The canonical cycle K, from `canonical_numerators`."""
+    return vector_cycle(g, canonical_numerators(g), lattice_determinant(g))
 
 
 def chi(g: ResolutionGraph, cycle: RatCycle) -> Fraction:
@@ -382,12 +384,8 @@ def blow_up(g: ResolutionGraph, locus: Union[str, tuple[str, str]]) -> tuple[Res
     """
     new_id = g.fresh_id("new")
     if isinstance(locus, str):
-        vid = locus
-        g.vertex(vid)
-        verts = tuple(Vertex(v.id, v.euler - 1 if v.id == vid else v.euler, v.genus)
-                      for v in g.vertices) + (Vertex(new_id, -1, 0),)
-        edges = g.edges + ((vid, new_id),)
-        target = ResolutionGraph(verts, edges)
+        g.vertex(locus)
+        ends, edges = (locus,), g.edges
     else:
         u, v = locus
         g.vertex(u)
@@ -395,29 +393,27 @@ def blow_up(g: ResolutionGraph, locus: Union[str, tuple[str, str]]) -> tuple[Res
         match = next((i for i, e in enumerate(g.edges) if set(e) == {u, v}), None)
         if match is None:
             raise InputError(f"no edge between {u!r} and {v!r}")
-        verts = tuple(Vertex(w.id, w.euler - 1 if w.id in (u, v) else w.euler, w.genus)
-                      for w in g.vertices) + (Vertex(new_id, -1, 0),)
-        edges = g.edges[:match] + g.edges[match + 1:] + ((u, new_id), (v, new_id))
-        target = ResolutionGraph(verts, edges)
-        locus = (u, v)
+        locus = ends = (u, v)
+        edges = g.edges[:match] + g.edges[match + 1:]
+    verts = tuple(Vertex(w.id, w.euler - 1 if w.id in ends else w.euler, w.genus)
+                  for w in g.vertices) + (Vertex(new_id, -1, 0),)
+    target = ResolutionGraph(verts, edges + tuple((w, new_id) for w in ends))
     if not _negative_definite(target):  # pragma: no cover - blow-up is unimodular
         raise InternalError("blow-up target is not negative definite")
     return target, BlowUpMap(g, target, locus, new_id)
 
 
+def transform_numerators(bmap: BlowUpMap, vec) -> tuple[int, ...]:
+    """The total transform of numerators `vec` in the source's vertex order:
+    the new vertex, last in the target's, takes their sum over the locus."""
+    ends = (bmap.locus,) if isinstance(bmap.locus, str) else bmap.locus
+    return tuple(vec) + (sum(vec[bmap.source.index(w)] for w in ends),)
+
+
 def total_transform(bmap: BlowUpMap, cycle: RatCycle) -> RatCycle:
     """Pull a cycle back through a blow-up; pairings are preserved."""
-    unknown = [vid for vid in cycle.support if vid not in bmap.source.ids]
-    if unknown:
-        raise InputError(f"cycle is not supported on the source graph: {unknown[0]!r}")
-    data = {vid: cycle.coefficient(vid) for vid in cycle.support}
-    if isinstance(bmap.locus, str):
-        extra = cycle.coefficient(bmap.locus)
-    else:
-        extra = cycle.coefficient(bmap.locus[0]) + cycle.coefficient(bmap.locus[1])
-    if extra:
-        data[bmap.new_id] = extra
-    return RatCycle(data)
+    vec, scale = cycle_vector(bmap.source, cycle)
+    return vector_cycle(bmap.target, transform_numerators(bmap, vec), scale)
 
 
 def _extended(g: ResolutionGraph, vid: str, new_id: str, euler: int, known: dict) -> ResolutionGraph:
@@ -458,9 +454,8 @@ def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> Reso
 
     from . import laufer  # local import: the climb lives upstream
 
-    start = cycle_vector(g, laufer.z_min_cycle(g))[0]
-    end = laufer._climb(diagonal(g), neighbours(g), start, 1, None, laufer._BOOTSTRAP_CAP,
-                        ((position, 1),))[1]
+    end = laufer._climb(diagonal(g), neighbours(g), laufer.z_min_numerators(g), 1, None,
+                        laufer._BOOTSTRAP_CAP, ((position, 1),))[1]
     first = -(adj_self // det) - 1
     return _extended(g, vid, new_id, min(-2, first, -end[position]),
-                     {laufer.z_min_cycle: RatCycle(zip(g.ids + (new_id,), end + [1]))})
+                     {laufer.z_min_numerators: tuple(end + [1])})

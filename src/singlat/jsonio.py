@@ -3,11 +3,12 @@
 Integers are serialised as strings so consumers never face 64-bit overflow;
 rationals are {"num", "den"} string pairs with positive denominator; cycle
 coefficients are arrays ordered like the graph's vertex list. Cycles come
-as integer numerators over a scale, and `encode_numerators` is their one
-writer, in lowest terms; a `RatCycle` field goes through `cycle_vector`
-once, in `encode_cycle`. Every top-level document carries the schema
-version. `dumps` writes a document in the `indent=2` form of the standard
-library by itself, as that form sends `json.dumps` to its pure-Python encoder.
+as integer numerators over a scale, the program's one cycle format, and
+`encode_numerators` is their one writer, in lowest terms; a `RatCycle`,
+met only in records and public arguments, goes through `cycle_vector`
+once, in `encode_cycle`. Every top-level document carries the schema version.
+`dumps` writes a document in the `indent=2` form of the standard library
+by itself, as that form sends `json.dumps` to its pure-Python encoder.
 """
 
 from __future__ import annotations

@@ -8,11 +8,11 @@ only the path varies, and tests exercise randomized policies to confirm it.
 
 Each step costs O(deg) integer work on numerators over one scale: the
 positive vertices sit in a min-heap, and a step updates only the chosen
-vertex and its neighbours. Class cycles, `h1_rational` and Z_min climb
-from integers; only `antinef_closure` and `fundamental_cycle` build a
-sequence object. As chi(x + E_v) = chi(x) + 1 - (x, E_v) on genus-zero
-vertices (Laufer, Amer. J. Math. 94, 1972), an h1 sum is chi(start) -
-chi(end), and `classify` reads it off the class table with no climb.
+vertex and its neighbours. Class cycles, `h1_rational` and Z_min (kept per
+graph as integers) climb from integers; only `antinef_closure` and
+`fundamental_cycle` build a sequence object. As chi(x + E_v) = chi(x) + 1 -
+(x, E_v) on genus-zero vertices (Laufer, Amer. J. Math. 94, 1972), an h1
+sum is chi(start) - chi(end), and `classify` reads it off the class table.
 The minimally elliptic cycle is a canonical cycle on a subgraph found by
 rationality tests, on every resolution; no grid of cycles is walked.
 """
@@ -25,9 +25,10 @@ from typing import Callable, Optional
 
 from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
-from .graph import (ResolutionGraph, adjugate, canonical_cycle, chi, cycle_vector, diagonal,
-                    dual_coordinates, induced_subgraph, lattice_determinant, neighbours, per_graph,
-                    require_negative_definite, sparse_pairings, vector_cycle, vertex_components)
+from .graph import (ResolutionGraph, adjugate, canonical_numerators, chi_numerator, cycle_vector,
+                    diagonal, dual_coordinates, induced_subgraph, lattice_determinant, neighbours,
+                    per_graph, require_negative_definite, sparse_pairings, vector_cycle,
+                    vertex_components)
 from .lattice import ClassElement, ClassGroup, reduced_numerators
 from .record import Record
 
@@ -123,20 +124,23 @@ def _fundamental_cycle_default(g: ResolutionGraph) -> ComputationSequence:
 
 
 @per_graph
-def z_min_cycle(g: ResolutionGraph) -> RatCycle:
-    """The fundamental cycle Z_min, the end of `fundamental_cycle(g)`,
-    climbed in integers without building that sequence.
-
-    An extension from `graph.extend_graph` is built knowing it from a warm
+def z_min_numerators(g: ResolutionGraph) -> tuple[int, ...]:
+    """The fundamental cycle Z_min's integer coefficients in vertex order,
+    the end of `fundamental_cycle(g)`, climbed without building that sequence.
+    An extension from `graph.extend_graph` is built knowing them from a warm
     start; only this cycle is seeded, never the sequence `fundamental_cycle`
-    reports, whose start and steps differ.
-    """
+    reports, whose start and steps differ."""
     start = [0] * len(g.ids)
     start[0] = 1
     _steps, end = _sequence(g, start, 1, None, _BOOTSTRAP_CAP)
     if min(end) < 1:  # pragma: no cover - theory
         raise InternalError("fundamental cycle has a coefficient below one")
-    return vector_cycle(g, end, 1)
+    return tuple(end)
+
+
+def z_min_cycle(g: ResolutionGraph) -> RatCycle:
+    """The fundamental cycle Z_min, from `z_min_numerators`."""
+    return vector_cycle(g, z_min_numerators(g), 1)
 
 
 def fundamental_cycle(g: ResolutionGraph, start_vertex: str | None = None,
@@ -185,7 +189,7 @@ def laufer_rational(g: ResolutionGraph) -> bool:
     chi(Z_min) = 1 + sum(1 - value), and every step's value is at least one.
     """
     require_negative_definite(g)
-    return g.is_tree and g.all_genus_zero and chi(g, z_min_cycle(g)) == 1
+    return g.is_tree and g.all_genus_zero and chi_numerator(g, z_min_numerators(g), 1) == 2
 
 
 @per_graph
@@ -286,15 +290,19 @@ def minimally_elliptic_cycle(g: ResolutionGraph) -> RatCycle:
     require_negative_definite(g)
     if laufer_rational(g):
         raise PreconditionError("rational graphs have no minimally elliptic cycle")
-    z_min = z_min_cycle(g)
-    if chi(g, z_min) != 0:
+    z_min = z_min_numerators(g)
+    if chi_numerator(g, z_min, 1):
         raise PreconditionError("graph is not elliptic: chi of the fundamental cycle is nonzero")
-    cycle = canonical_cycle(_minimal_non_rational_subgraph(g))
-    if not (cycle and cycle.is_integral and chi(g, cycle) == 0 and cycle <= z_min):
+    core = _minimal_non_rational_subgraph(g)
+    det = lattice_determinant(core)
+    on_core = dict(zip(core.ids, canonical_numerators(core)))
+    cycle = [on_core.get(vid, 0) for vid in g.ids]
+    if not (any(cycle) and all(x % det == 0 and x <= z * det for x, z in zip(cycle, z_min))
+            and chi_numerator(g, cycle, det) == 0):
         raise InternalError(
-            f"canonical cycle {cycle} of the minimal non-rational subgraph is not "
-            "a nonzero integral chi-zero cycle below the fundamental cycle")
-    return cycle
+            f"canonical cycle {vector_cycle(g, cycle, det)} of the minimal non-rational "
+            "subgraph is not a nonzero integral chi-zero cycle below the fundamental cycle")
+    return vector_cycle(g, cycle, det)
 
 
 class SingularityType(Record):
@@ -325,27 +333,25 @@ def classify_singularity(g: ResolutionGraph) -> SingularityType:
     warnings: list[str] = []
     minimal = g.is_minimal_resolution
     tree_genus0 = g.is_tree and g.all_genus_zero
-    z_k = canonical_cycle(g)
-    gorenstein = z_k.is_integral
+    det = lattice_determinant(g)
+    z_k = canonical_numerators(g)
+    gorenstein = not any(x % det for x in z_k)
     rational = laufer_rational(g)
-    z_min = z_min_cycle(g)
-    elliptic = (not rational) and chi(g, z_min) == 0
+    z_min = z_min_numerators(g)
+    elliptic = (not rational) and chi_numerator(g, z_min, 1) == 0
     cusp_shape = g.is_cycle_graph and g.all_genus_zero
 
     minimally_elliptic = False
     support_all: bool | None = None
     if elliptic:
-        cycle = minimally_elliptic_cycle(g)
-        support_all = set(cycle.support) == set(g.ids)
-        core = gorenstein and cycle == z_k
-        if minimal:
-            minimally_elliptic = core and cycle == z_min
-        else:
-            minimally_elliptic = core
-            if core:
-                warnings.append(
-                    "non-minimal resolution: minimally elliptic verdict rests on "
-                    "the elliptic cycle matching the canonical cycle only")
+        cycle = cycle_vector(g, minimally_elliptic_cycle(g))[0]  # integral
+        support_all = all(cycle)
+        core = gorenstein and [x * det for x in cycle] == list(z_k)
+        minimally_elliptic = core and (tuple(cycle) == z_min or not minimal)
+        if core and not minimal:
+            warnings.append(
+                "non-minimal resolution: minimally elliptic verdict rests on "
+                "the elliptic cycle matching the canonical cycle only")
 
     cusp = cusp_shape and minimal
     if cusp_shape and not minimal:

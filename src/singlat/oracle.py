@@ -29,9 +29,9 @@ from .graph import (ResolutionGraph, adjugate, blow_up, canonical_cycle, chi, cy
                     diagonal, dual_basis, extend_graph, intersection_matrix, lattice_determinant,
                     neighbours, pairing, pairing_vector, require_negative_definite,
                     sparse_pairings, total_transform, vector_cycle)
-from .lattice import ClassElement, class_group, class_of, reduced_rep
+from .lattice import ClassElement, _class_of, class_group, class_of, reduced_rep
 from .laufer import (antinef_closure, fundamental_cycle, h1_rational,
-                     laufer_rational, minimal_antinef_rep, z_min_cycle)
+                     laufer_rational, minimal_antinef_rep, z_min_cycle, z_min_numerators)
 from .record import Record
 
 # The most vertices `verify_all` accepts, the seed of its samples (fixed so
@@ -53,8 +53,7 @@ class Box(Record):
     @classmethod
     def for_graph(cls, g: ResolutionGraph, scale: int = 3) -> "Box":
         require_negative_definite(g)
-        z_min = z_min_cycle(g)
-        return cls(tuple((vid, scale * int(z_min.coefficient(vid))) for vid in g.ids))
+        return cls(tuple(zip(g.ids, (scale * z for z in z_min_numerators(g)))))
 
     def bound(self, vid: str) -> int:
         try:
@@ -113,7 +112,7 @@ def _antinef_numerators(g: ResolutionGraph, box: Optional[Box] = None
     limits = [box.bound(vid) * det for vid in ids]
     cg = class_group(g)
     factors = cg.factors
-    dual_coords = [class_of(cg, dual).coords for dual in dual_basis(g).values()]
+    dual_coords = [_class_of(cg, column, det) for column in dual_num]
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def rec(v: int, point: tuple[int, ...], cls: tuple[int, ...]):

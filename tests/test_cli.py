@@ -419,8 +419,12 @@ def test_sh_derives_each_reduced_representative_once(capsys, monkeypatch):
         assert len(calls) == len(set(calls)) == order
 
 
-def test_sh_builds_no_cycle_per_class(capsys, monkeypatch):
-    # the table's rows stay numerators: A9 has twice the classes of A4
+@pytest.mark.parametrize("command", [("sh",), ("blowup", "--vertex", "v1"),
+                                     ("extend", "--vertex", "v1"), ("invariants",)],
+                         ids=lambda command: command[0])
+def test_sh_builds_no_cycle_per_class(capsys, monkeypatch, command):
+    # rows and cycles stay numerators: A9 has twice the classes and more
+    # than twice the vertices of A4, and builds as many `RatCycle`s
     from singlat import RatCycle
     calls = []
     init = RatCycle.__init__
@@ -433,8 +437,9 @@ def test_sh_builds_no_cycle_per_class(capsys, monkeypatch):
     counts = []
     for name, order in (("A4", 5), ("A9", 10)):
         calls.clear()
-        code, doc, _ = run_json(capsys, "sh", "--catalog", name)
-        assert code == 0 and len(doc["rows"]) == order
+        code, doc, _ = run_json(capsys, *command, "--catalog", name)
+        table = doc.get("rows", doc.get("transform_table"))
+        assert code == 0 and (table is None or len(table) == order)
         counts.append(len(calls))
     assert counts[0] == counts[1]
 

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from singlat import (InputError, ParseError, RatCycle, catalog, catalog_names,
-                     catalog_source, dual_cycle, intersection_matrix,
+                     catalog_source, cli, dual_cycle, intersection_matrix,
                      is_negative_definite, lattice_determinant, parse, serialize,
                      verify_all)
 from singlat.dsl import CycleDef, GraphDocument
@@ -130,12 +130,20 @@ def test_catalog_gamma_det_one():
     assert lattice_determinant(catalog("gamma-2-3-7")) == 1
 
 
-def test_catalog_unknown_lists_names():
+def test_catalog_unknown_lists_names(capsys):
     with pytest.raises(InputError, match="paper-z7"):
         catalog("unknown-graph")
     with pytest.raises(InputError):
         catalog("D3")  # too small for the family
-    assert "A<n>" in catalog_names()
+    assert cli.main(["catalog"]) == 0
+    assert "A<n>" in capsys.readouterr().out.splitlines()
+
+
+def test_every_catalog_name_loads():
+    names = catalog_names()
+    assert "paper-z7" in names and "A<n>" not in names
+    for name in names:
+        assert is_negative_definite(intersection_matrix(catalog(name)))
 
 
 def test_catalog_graphs_verify():

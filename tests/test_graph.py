@@ -310,8 +310,7 @@ def _outcome(fn, *args):
 
 
 def _extension_graphs(rational_corpus, negdef_corpus):
-    names = [name for name in catalog_names() if "<" not in name]
-    names += ["A1", "A4", "A9", "D4", "D7"]
+    names = [*catalog_names(), "A1", "A4", "A9", "D4", "D7"]
     return [catalog(name) for name in names] + rational_corpus + negdef_corpus
 
 
@@ -376,6 +375,23 @@ def test_warm_probes_match_cold_fundamental_cycles(rational_corpus, negdef_corpu
         assert seq == fundamental_cycle(fresh)
 
 
+def test_extension_builds_no_rational_cycle(rational_corpus, monkeypatch):
+    """The search climbs from Z_min's integers and seeds the extension's
+    Z_min as integers, so neither it nor the extension's rationality test
+    builds a `RatCycle`."""
+    graphs = [catalog("D7"), catalog("E8"), *rational_corpus[:30]]
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a RatCycle built while extending")
+
+    monkeypatch.setattr(RatCycle, "__init__", forbidden)
+    for g in graphs:
+        for vid in g.ids:
+            ext = extend_graph(g, vid)
+            assert laufer.z_min_numerators(ext)[-1] >= 1
+            laufer_rational(ext)
+
+
 def test_extension_where_the_reference_search_gives_up():
     """The bounded reference search raises past its window on the middle of
     A49 and the short arms of D52; the closed form's extension there gives
@@ -426,7 +442,7 @@ def _seeded_graphs_of_every_sign(seed=CORPUS_SEED + 7, count=300):
 
 
 def test_one_elimination_matches_the_dense_references(rational_corpus, negdef_corpus):
-    named = [catalog(name) for name in catalog_names() if "<" not in name]
+    named = [catalog(name) for name in catalog_names()]
     named += [catalog(f"A{n}") for n in range(1, 20)] + [catalog(f"D{n}") for n in range(4, 20)]
     kinds = {"negdef": 0, "indefinite": 0, "singular": 0}
     for g in [*rational_corpus, *negdef_corpus, *named, *_seeded_graphs_of_every_sign()]:
@@ -483,13 +499,13 @@ def test_derived_values_die_with_their_graph():
 def test_rationality_is_decided_once_per_graph(monkeypatch):
     g = catalog("A16")
     calls = []
-    original = laufer.chi
+    original = laufer.chi_numerator
 
-    def counting_chi(graph, cycle):
+    def counting_chi(graph, vec, scale):
         calls.append(graph is g)
-        return original(graph, cycle)
+        return original(graph, vec, scale)
 
-    monkeypatch.setattr(laufer, "chi", counting_chi)
+    monkeypatch.setattr(laufer, "chi_numerator", counting_chi)
     assert len(special_full_sheaves(g)) == 16
     assert sum(calls) == 1
 

@@ -173,7 +173,7 @@ def outcome(fn, *args):
 
 
 def reference_graphs(rational_corpus, negdef_corpus):
-    named = [catalog(name) for name in catalog_names() if "<" not in name]
+    named = [catalog(name) for name in catalog_names()]
     named += [catalog(f"A{n}") for n in range(1, 20)] + [catalog(f"D{n}") for n in range(4, 20)]
     return list(rational_corpus) + list(negdef_corpus) + named
 

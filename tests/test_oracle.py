@@ -286,7 +286,7 @@ def reference_antinef_points(g, box):
 
 def small_catalog_graphs():
     from singlat import dsl
-    names = [name for name in dsl.catalog_names() if "<" not in name]
+    names = list(dsl.catalog_names())
     names += [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)]
     return [g for g in map(catalog, names) if len(g.vertices) <= 8]
 
