@@ -241,7 +241,8 @@ def flat_annotation(g: ResolutionGraph, report: ClassificationReport) -> Classif
     and the trivial sheaf itself. Anything else stays unknown.
     """
     st = report.singularity
-    z_min = z_min_cycle(g)
+    # read only by the minimally elliptic tree branch
+    z_min = z_min_cycle(g) if st.minimally_elliptic and st.tree_all_genus_zero else None
 
     def flat_count(fam: FullSheafFamily) -> str:
         if st.rational or st.cusp:

@@ -9,10 +9,15 @@ computation-sequence machinery they are meant to audit.
 
 Points are integer numerators over det(-M) in vertex order, from one
 enumerator (`_antinef_numerators`): the box checks of `verify_all` compare,
-shift and take minima on those tuples, and a fast-path cycle becomes
-numerators once. A `RatCycle` is built only at the public API
-(`antinef_points`, `brute_lipman_minima`, `brute_fundamental_cycle`), for a
-`chi` evaluation, and in failure messages.
+shift and take minima on those tuples, and each cycle a check samples
+becomes numerators once per check. Path independence compares class
+numerators, h1 takes its chi difference from `chi_numerator`, and blow-up
+invariance compares two integer Gram matrices. A `RatCycle` is built only
+at the public API (`antinef_points`, `brute_lipman_minima`,
+`brute_fundamental_cycle`), by the checks that audit the public `RatCycle`
+adapters (`pairing` in `dual-basis-pairings` and `chi-quadratic`, `chi` in
+`chi-quadratic`, `minimal_antinef_rep` in the minimal-cycle, cone and h1
+checks), and in failure messages.
 """
 
 from __future__ import annotations
@@ -25,13 +30,13 @@ from typing import Optional
 
 from .cycles import RatCycle
 from .errors import InputError, InternalError, PreconditionError
-from .graph import (ResolutionGraph, adjugate, blow_up, canonical_cycle, chi, cycle_vector,
-                    diagonal, dual_basis, extend_graph, intersection_matrix, lattice_determinant,
-                    neighbours, pairing, pairing_vector, require_negative_definite,
-                    sparse_pairings, total_transform, vector_cycle)
+from .graph import (ResolutionGraph, adjugate, blow_up, canonical_cycle, chi, chi_numerator,
+                    cycle_vector, diagonal, dual_basis, extend_graph, intersection_matrix,
+                    lattice_determinant, neighbours, pairing, pairing_vector,
+                    require_negative_definite, sparse_pairings, total_transform, vector_cycle)
 from .lattice import ClassElement, _class_of, class_group, class_of, reduced_rep
-from .laufer import (antinef_closure, fundamental_cycle, h1_rational,
-                     laufer_rational, minimal_antinef_rep, z_min_cycle, z_min_numerators)
+from .laufer import (antinef_closure, fundamental_cycle, h1_rational, laufer_rational,
+                     minimal_antinef_rep, minimal_numerators, z_min_cycle, z_min_numerators)
 from .record import Record
 
 # The most vertices `verify_all` accepts, the seed of its samples (fixed so
@@ -140,6 +145,18 @@ def _by_class(points) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
 def _minimum(points) -> tuple[int, ...]:
     """Coefficient-wise minimum of a nonempty list of numerator tuples."""
     return tuple(map(min, zip(*points)))
+
+
+def _gram(g: ResolutionGraph, cycles: list[RatCycle]) -> tuple[list[list[int]], int]:
+    """Every pairing (a, b) of the cycles as an integer numerator over one
+    scale, and that scale: each cycle becomes numerators once, over the lcm
+    of their denominators."""
+    vectors = [cycle_vector(g, c) for c in cycles]
+    common = math.lcm(*(scale for _vec, scale in vectors))
+    vecs = [[x * (common // scale) for x in vec] for vec, scale in vectors]
+    diag, rows = diagonal(g), neighbours(g)
+    columns = [sparse_pairings(diag, rows, vec) for vec in vecs]
+    return [[sum(map(operator.mul, vec, col)) for col in columns] for vec in vecs], common * common
 
 
 def _least_nonzero_integral(zero_points, det: int) -> Optional[tuple[int, ...]]:
@@ -467,7 +484,7 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
                 if fundamental_cycle(g, start_vertex=v, tie_break=policy).end != z_min:
                     raise InternalError(f"fundamental cycle changed from start {v}")
             for h in cg.elements():
-                if minimal_antinef_rep(g, cg, h, tie_break=policy) != minimal_antinef_rep(g, cg, h):
+                if minimal_numerators(g, cg, h, tie_break=policy) != minimal_numerators(g, cg, h):
                     raise InternalError(f"minimal cycle of {h.coords} changed")
         return "endpoints stable under randomized tie-breaking"
 
@@ -499,13 +516,15 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
             return "skipped: graph is not rational"
         for h in cg.elements():
             rep = minimal_antinef_rep(g, cg, h)
-            if over_det(rep) is None:
+            vec = over_det(rep)
+            if vec is None:
                 raise InternalError(f"class {h.coords}: minimal cycle {rep} is off the dual lattice")
             neg_class = cg.neg(h)
             end = minima.get(neg_class.coords)  # its minimal cycle is in the box (check_minimal_reps)
             if end is None:
                 raise InternalError(f"box missed class {neg_class.coords}")
-            expected = chi(g, -rep) - chi(g, as_cycle(end))
+            expected = Fraction(chi_numerator(g, [-x for x in vec], det)
+                                - chi_numerator(g, end, det), 2 * det * det)
             got = h1_rational(g, rep)
             if got != expected:
                 raise InternalError(
@@ -541,14 +560,15 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         if g.edges:
             loci.append(g.edges[0])
         sample = ([RatCycle.unit(v) for v in ids] + [z_min, z_k] + [duals[v] for v in ids])[:6]
+        source, source_scale = _gram(g, sample)
         for locus in loci:
             target, bmap = blow_up(g, locus)
             if lattice_determinant(target) != det:
                 raise InternalError(f"determinant changed at locus {locus!r}")
-            images = [total_transform(bmap, a) for a in sample]
-            for a, image_a in zip(sample, images):
-                for b, image_b in zip(sample, images):
-                    if pairing(target, image_a, image_b) != pairing(g, a, b):
+            image, image_scale = _gram(target, [total_transform(bmap, a) for a in sample])
+            for source_row, image_row in zip(source, image):
+                for x, y in zip(source_row, image_row):
+                    if y * source_scale != x * image_scale:
                         raise InternalError(f"pairing not preserved at locus {locus!r}")
         return f"{len(loci)} loci: determinant and pairings preserved"
 

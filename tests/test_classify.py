@@ -167,6 +167,21 @@ def test_min_elliptic_simply_elliptic():
     assert all(f.flat_count == FLAT_UNKNOWN for f in report.families)
 
 
+def test_flat_annotation_builds_z_min_only_for_minimally_elliptic_trees(monkeypatch):
+    # A9 is rational and cusp-3x3 a cusp: neither branch reads Z_min
+    import singlat.classify as classify
+    reports = {"A9": full_sheaf_classes_rational(catalog("A9")),
+               "cusp-3x3": full_sheaf_classes_min_elliptic(catalog("cusp-3x3"))}
+
+    def forbidden(g):
+        raise AssertionError("flat_annotation built an unread Z_min")
+
+    monkeypatch.setattr(classify, "z_min_cycle", forbidden)
+    for name, report in reports.items():
+        annotated = flat_annotation(catalog(name), report)
+        assert all(f.flat_count == FLAT_ALL for f in annotated.families)
+
+
 def test_min_elliptic_rejects_rational(z7):
     with pytest.raises(PreconditionError):
         full_sheaf_classes_min_elliptic(z7)

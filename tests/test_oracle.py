@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from singlat import (InputError, InternalError, PreconditionError, RatCycle, catalog, class_group,
-                     class_of, dual_basis, fundamental_cycle, verify_all)
+                     class_of, dual_basis, fundamental_cycle, minimal_antinef_rep, verify_all)
 from singlat.oracle import (Box, affordable_chi_box, antinef_points,
                             brute_fundamental_cycle, brute_lipman_min,
                             brute_lipman_minima, brute_min_chi, grid_size)
@@ -435,3 +435,53 @@ def test_closure_endpoint_moved_fails_the_closure_check(z7, monkeypatch):
         moved = z_min + shift  # the closure from E1 ends at Z_min
         assert failed["closure-endpoints-vs-enumeration"] == message.format(moved=moved, end=z_min)
         assert "minimal-cycles-vs-enumeration" not in failed
+
+
+def test_blow_up_image_moved_fails_the_blow_up_check(z7, monkeypatch):
+    from singlat import oracle
+    transform = oracle.total_transform
+    monkeypatch.setattr(oracle, "total_transform", lambda bmap, cycle: (
+        transform(bmap, cycle) + RatCycle.unit(bmap.new_id)))
+    assert _failed(z7) == {"blow-up-invariance": "pairing not preserved at locus 'E1'"}
+
+
+def test_tie_break_climb_moved_fails_path_independence(z7, monkeypatch):
+    # a policy climb of a nonzero class ends one unit of the first vertex
+    # higher; the zero class is left alone, as its own guard would trip first
+    from singlat import laufer
+    from singlat.graph import lattice_determinant
+    sequence = laufer._sequence
+
+    def moved(g, vec, scale, tie_break, cap=None):
+        steps, end = sequence(g, vec, scale, tie_break, cap)
+        if tie_break is not None and scale == lattice_determinant(g) and any(vec):
+            end = [end[0] + scale, *end[1:]]
+        return steps, end
+
+    monkeypatch.setattr(laufer, "_sequence", moved)
+    first = next(h for h in class_group(z7).elements() if not h.is_zero)
+    assert _failed(z7) == {"sequence-path-independence": f"minimal cycle of {first.coords} changed"}
+
+
+def test_h1_moved_fails_the_h1_check(z7, monkeypatch):
+    from singlat import chi, oracle
+    h1 = oracle.h1_rational
+    monkeypatch.setattr(oracle, "h1_rational", lambda g, chern, *rest: h1(g, chern, *rest) + 1)
+    cg = class_group(z7)
+    h = next(iter(cg.elements()))
+    rep = minimal_antinef_rep(z7, cg, h)
+    expected = chi(z7, -rep) - chi(z7, minimal_antinef_rep(z7, cg, cg.neg(h)))
+    assert _failed(z7) == {
+        "h1-chi-formula": f"class {h.coords}: h1 sequence value {expected + 1}, "
+                          f"chi difference {expected}"}
+
+
+def test_pairing_adapter_runs_only_in_its_audits(z7, monkeypatch):
+    # n^2 pairings in dual-basis-pairings and one per sample in chi-quadratic;
+    # the blow-up check compares integer Gram matrices instead
+    from singlat import oracle
+    pairing = oracle.pairing
+    calls = []
+    monkeypatch.setattr(oracle, "pairing", lambda *args: calls.append(args) or pairing(*args))
+    assert verify_all(z7).passed
+    assert len(calls) == len(z7.ids) ** 2 + 10
