@@ -366,11 +366,17 @@ def chi(g: ResolutionGraph, cycle: RatCycle) -> Fraction:
 
 def chi_numerator(g: ResolutionGraph, vec: list[int], scale: int) -> int:
     """2 scale^2 chi(l) for the cycle l with integer numerators `vec` over
-    `scale`. Evaluated through the adjunction targets, so no linear solve
-    is needed."""
+    `scale`, from `sparse_chi_numerator` on g's rows."""
     require_negative_definite(g)
-    with_k = sum(x * t for x, t in zip(vec, adjunction_targets(g)))
-    self_pairing = sum(x * p for x, p in zip(vec, sparse_pairings(diagonal(g), neighbours(g), vec)))
+    return sparse_chi_numerator(diagonal(g), neighbours(g), adjunction_targets(g), vec, scale)
+
+
+def sparse_chi_numerator(diag, rows, targets, vec: list[int], scale: int) -> int:
+    """2 scale^2 chi(l) for the cycle l = vec / scale on the form with the
+    given diagonal, `neighbours` rows and adjunction targets: (l, K) is read
+    off the targets, so no linear solve is needed."""
+    with_k = sum(x * t for x, t in zip(vec, targets))
+    self_pairing = sum(x * p for x, p in zip(vec, sparse_pairings(diag, rows, vec)))
     return with_k * scale - self_pairing
 
 

@@ -14,7 +14,8 @@ graph as integers) climb from integers; only `antinef_closure` and
 (x, E_v) on genus-zero vertices (Laufer, Amer. J. Math. 94, 1972), an h1
 sum is chi(start) - chi(end), and `classify` reads it off the class table.
 The minimally elliptic cycle is a canonical cycle on a subgraph found by
-rationality tests, on every resolution; no grid of cycles is walked.
+rationality tests on the graph's own rows, on every resolution; no grid of
+cycles is walked.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from typing import Callable, Optional
 
 from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
-from .graph import (ResolutionGraph, adjugate, canonical_numerators, chi_numerator, cycle_vector,
-                    diagonal, dual_coordinates, induced_subgraph, lattice_determinant, neighbours,
-                    per_graph, require_negative_definite, sparse_pairings, vector_cycle,
-                    vertex_components)
+from .graph import (ResolutionGraph, adjugate, adjunction_targets, canonical_numerators,
+                    chi_numerator, cycle_vector, diagonal, dual_coordinates, induced_subgraph,
+                    lattice_determinant, neighbours, per_graph, require_negative_definite,
+                    sparse_chi_numerator, sparse_pairings, vector_cycle, vertex_components)
 from .lattice import ClassElement, ClassGroup, reduced_numerators
 from .record import Record
 
@@ -247,24 +248,42 @@ def h1_rational(g: ResolutionGraph, chern: RatCycle,
     return sum(value // scale - 1 for _, value in steps)
 
 
-def _components(g: ResolutionGraph, keep: list[str]) -> list[ResolutionGraph]:
-    """The connected components of the subgraph on the given vertices."""
-    return [induced_subgraph(g, part) for part in vertex_components(keep, g.edges)]
+def _rational_part(g: ResolutionGraph, part: set[str]) -> bool:
+    """`laufer_rational(induced_subgraph(g, part))` for a connected vertex
+    set of the negative-definite graph g, read off g's own rows, so no graph
+    is built: the part is a tree when its edge multiplicities sum to
+    2(|part| - 1), and then rational when its genera are zero and
+    2 chi(Z_min) = 2, Z_min climbed as in `z_min_numerators`."""
+    positions = [i for i, vid in enumerate(g.ids) if vid in part]
+    local = {i: k for k, i in enumerate(positions)}
+    all_rows = neighbours(g)
+    rows = [tuple((local[j], m) for j, m in all_rows[i] if j in local) for i in positions]
+    if sum(m for row in rows for _j, m in row) != 2 * (len(rows) - 1):
+        return False
+    vertices = g.vertices
+    if any(vertices[i].genus for i in positions):
+        return False
+    diag = [vertices[i].euler for i in positions]
+    start = [1] + [0] * (len(rows) - 1)
+    _steps, z_min = _climb(diag, rows, start, 1, None, _BOOTSTRAP_CAP)
+    targets = adjunction_targets(g)
+    return sparse_chi_numerator(diag, rows, [targets[i] for i in positions], z_min, 1) == 2
 
 
 def _minimal_non_rational_subgraph(g: ResolutionGraph) -> ResolutionGraph:
     """Drop each vertex in turn, keeping only a non-rational connected
-    component of what is left whenever there is one: O(n) rationality tests.
-    On an elliptic graph this ends on the unique minimal non-rational
-    connected subgraph, as every kept subgraph contains it."""
-    core = g
+    component of what is left whenever there is one: O(n) rationality tests,
+    each on g's own rows (`_rational_part`). On an elliptic graph this ends
+    on the unique minimal non-rational connected subgraph, as every kept
+    subgraph contains it. The one graph built is that subgraph, and only
+    when a vertex was dropped; otherwise it is g."""
+    core = set(g.ids)
     for vid in g.ids:
-        if vid not in core.ids:
-            continue
-        rest = [other for other in core.ids if other != vid]
-        core = next((part for part in _components(core, rest)
-                     if not laufer_rational(part)), core)
-    return core
+        if vid in core:
+            rest = [other for other in g.ids if other in core and other != vid]
+            core = next((part for part in vertex_components(rest, g.edges)
+                         if not _rational_part(g, part)), core)
+    return g if len(core) == len(g.ids) else induced_subgraph(g, core)
 
 
 def minimally_elliptic_cycle(g: ResolutionGraph) -> RatCycle:

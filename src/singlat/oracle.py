@@ -34,7 +34,8 @@ from .graph import (ResolutionGraph, adjugate, blow_up, canonical_cycle, chi, ch
                     cycle_vector, diagonal, dual_basis, extend_graph, intersection_matrix,
                     lattice_determinant, neighbours, pairing, pairing_vector,
                     require_negative_definite, sparse_pairings, total_transform, vector_cycle)
-from .lattice import ClassElement, _class_of, class_group, class_of, reduced_rep
+from .lattice import (ClassElement, _class_of, class_group, class_of, reduced_numerators,
+                      reduced_rep)
 from .laufer import (antinef_closure, fundamental_cycle, h1_rational, laufer_rational,
                      minimal_antinef_rep, minimal_numerators, z_min_cycle, z_min_numerators)
 from .record import Record
@@ -198,11 +199,15 @@ def brute_lipman_min(g: ResolutionGraph, h: ClassElement,
 def brute_min_chi(g: ResolutionGraph, box: Optional[Box] = None) -> tuple[int, RatCycle]:
     """Minimum of chi over nonzero effective integral cycles in the box.
 
-    Walks the grid of every coordinate but the last odometer-style,
-    maintaining the quadratic form incrementally. Along the last coordinate
-    c, 2*chi is a convex quadratic, least at one of the two integers around
-    its vertex, so each line of the grid costs O(1) big-int work. The
-    witness returned is the first minimiser in odometer order.
+    Along the coordinate with the largest bound, the line coordinate c,
+    2*chi is a convex quadratic, least at one of the two integers around
+    its vertex, so each line of the grid costs O(1) big-int work; the other
+    coordinates are walked odometer-style in vertex order, the last
+    fastest, maintaining the quadratic form incrementally, so the grid has
+    the fewest lines. The witness returned is the lexicographically least
+    minimiser, the first in odometer order over all coordinates: within a
+    line the least c wins, and a later line beats an equal value only while
+    the coordinates before c are unchanged and its c is lower.
     """
     require_negative_definite(g)
     box = _resolve_box(g, box)
@@ -211,47 +216,56 @@ def brute_min_chi(g: ResolutionGraph, box: Optional[Box] = None) -> tuple[int, R
     nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
     targets = [v.euler + 2 - 2 * v.genus for v in g.vertices]
     limits = [box.bound(vid) for vid in ids]
-    if all(b == 0 for b in limits):
+    top = max(limits)
+    if top == 0:
         raise PreconditionError("empty box: no nonzero cycles to scan")
 
-    last, top = len(ids) - 1, limits[-1]
-    curve = -rows[last][last]  # > 0 on a negative-definite form
-    coeffs = [0] * last        # every coordinate but the last
+    line = len(ids) - 1 - limits[::-1].index(top)  # the last of the largest bounds
+    walked = [i for i in range(len(ids)) if i != line]
+    curve = -rows[line][line]  # > 0 on a negative-definite form
+    coeffs = [0] * len(ids)    # coeffs[line] stays zero
     q = 0                      # l^T M l
     p = [0] * len(ids)         # (M l)_v
     tau = 0                    # l . targets
-    low = 1                    # the zero cycle is not a candidate
-    best = None                # (2 * chi, witness)
+    low = 1                    # the zero cycle is not a candidate; top >= 1
+    best = witness = None      # least 2 * chi so far and its cycle
+    same_prefix = False        # the coordinates before `line` are the witness's
     while True:
-        # 2*chi(l + c E_last) = tau - q + slope*c + curve*c^2 for c in [low, top]
-        slope = targets[last] - 2 * p[last]
+        # 2*chi(l + c E_line) = tau - q + slope*c + curve*c^2 for c in [low, top]
+        slope = targets[line] - 2 * p[line]
         c = min(max(-slope // (2 * curve), low), top)
         if c < top and slope + curve * (2 * c + 1) < 0:  # c + 1 is strictly lower
             c += 1
         value2 = tau - q + slope * c + curve * c * c
-        if low <= top and (best is None or value2 < best[0]):
-            best = (value2, coeffs + [c])
+        if best is None or value2 < best or (
+                value2 == best and same_prefix and c < witness[line]):
+            best, witness, same_prefix = value2, coeffs.copy(), True
+            witness[line] = c
         low = 0
-        pos = last - 1
-        while pos >= 0 and coeffs[pos] == limits[pos]:  # roll back to zero
+        k = len(walked) - 1
+        while k >= 0:
+            pos = walked[k]
             c = coeffs[pos]
-            q -= 2 * c * p[pos] - c * c * rows[pos][pos]
+            if c < limits[pos]:
+                break
+            q -= 2 * c * p[pos] - c * c * rows[pos][pos]  # roll back to zero
             for j, x in nonzero[pos]:
                 p[j] -= c * x
             tau -= c * targets[pos]
             coeffs[pos] = 0
-            pos -= 1
-        if pos < 0:
+            k -= 1
+        if k < 0:
             break
+        if pos < line:
+            same_prefix = False
         q += 2 * p[pos] + rows[pos][pos]  # advance by one
         for j, x in nonzero[pos]:
             p[j] += x
         tau += targets[pos]
         coeffs[pos] += 1
-    value2, witness = best
-    if value2 % 2:  # pragma: no cover - chi is integral on integral cycles
+    if best % 2:  # pragma: no cover - chi is integral on integral cycles
         raise InternalError("chi evaluated to a half-integer on an integral cycle")
-    return value2 // 2, RatCycle(zip(ids, witness))
+    return best // 2, RatCycle(zip(ids, witness))
 
 
 def brute_fundamental_cycle(g: ResolutionGraph, box: Optional[Box] = None) -> Optional[RatCycle]:
@@ -478,13 +492,15 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
 
     def check_path_independence():
         rng = random.Random(VERIFY_SEED + 2)
+        starts = [(h, reduced_numerators(cg, h)) for h in cg.elements()]
         for trial in range(5):
             policy = (lambda r: (lambda cands: r.choice(cands)))(random.Random(rng.randrange(10 ** 6)))
             for v in ids:
                 if fundamental_cycle(g, start_vertex=v, tie_break=policy).end != z_min:
                     raise InternalError(f"fundamental cycle changed from start {v}")
-            for h in cg.elements():
-                if minimal_numerators(g, cg, h, tie_break=policy) != minimal_numerators(g, cg, h):
+            for h, start in starts:
+                if (minimal_numerators(g, cg, h, tie_break=policy, start=start)
+                        != minimal_numerators(g, cg, h)):
                     raise InternalError(f"minimal cycle of {h.coords} changed")
         return "endpoints stable under randomized tie-breaking"
 

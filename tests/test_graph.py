@@ -18,7 +18,8 @@ from singlat import (InputError, InternalError, PreconditionError, RatCycle, Res
                      lattice_determinant, pairing, special_full_sheaves, total_transform)
 from singlat import graph as graph_module
 from singlat import laufer, linalg
-from singlat.graph import IntersectionMatrix, neighbours, require_negative_definite
+from singlat.graph import (IntersectionMatrix, induced_subgraph, neighbours, require_negative_definite,
+                           vertex_components)
 from singlat.laufer import laufer_rational
 
 from conftest import CORPUS_SEED, count_eliminations, graph
@@ -412,7 +413,8 @@ def test_induced_subgraphs_are_known_negative_definite(negdef_corpus, monkeypatc
     for g in negdef_corpus:
         require_negative_definite(g)
         for vid in g.ids:
-            parts += laufer._components(g, [other for other in g.ids if other != vid])
+            rest = [other for other in g.ids if other != vid]
+            parts += [induced_subgraph(g, part) for part in vertex_components(rest, g.edges)]
     bareiss_runs = []
     count_eliminations(monkeypatch, bareiss_runs)
     for part in parts:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from singlat import laufer
 from singlat import (InternalError, PreconditionError, RatCycle, ResolutionGraph,
                      antinef_closure, blow_up, canonical_cycle,
                      catalog, catalog_names, chi, class_group, class_of, classify_singularity,
@@ -13,8 +14,9 @@ from singlat import (InternalError, PreconditionError, RatCycle, ResolutionGraph
                      in_lipman_cone, is_negative_definite, intersection_matrix,
                      laufer_rational, minimal_antinef_rep, minimally_elliptic_cycle,
                      reduced_rep)
-from singlat.graph import adjunction_targets, diagonal, neighbours, pairing_vector
-from singlat.laufer import (_BOOTSTRAP_CAP, ComputationSequence, LauferStep, _components,
+from singlat.graph import (adjunction_targets, diagonal, induced_subgraph, neighbours,
+                           pairing_vector, vertex_components)
+from singlat.laufer import (_BOOTSTRAP_CAP, ComputationSequence, LauferStep,
                             _minimal_non_rational_subgraph, _run_sequence)
 
 from conftest import CORPUS_SEED, graph, tie_break_policies
@@ -404,7 +406,65 @@ def test_elliptic_cycle_support_is_the_minimal_non_rational_subgraph(
         assert not laufer_rational(support)
         for vid in support.ids:
             rest = [other for other in support.ids if other != vid]
-            assert all(laufer_rational(part) for part in _components(support, rest)), (g, vid)
+            parts = vertex_components(rest, support.edges)
+            assert all(laufer_rational(induced_subgraph(support, part)) for part in parts), (g, vid)
+
+
+def _row_test_graphs(seed=CORPUS_SEED + 8, count=150):
+    """Seeded negative-definite graphs on 1-6 vertices with (-1)-curves,
+    genus-1 vertices, extra and parallel edges, plus two catalog graphs
+    with a cycle and a (-1)-centre."""
+    rng = random.Random(seed)
+    out = [catalog("cusp-3x3"), catalog("gamma-2-3-7")]
+    while len(out) < count:
+        n = rng.randint(1, 6)
+        ids = [f"v{i}" for i in range(n)]
+        vertices = [(vid, rng.choice((-1, -2, -2, -2, -3, -4, -5)), rng.choice((0, 0, 0, 1)))
+                    for vid in ids]
+        edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n)]
+        if n > 1:
+            edges += [tuple(rng.sample(ids, 2)) for _ in range(rng.choice((0, 0, 1, 2)))]
+        g = graph(vertices, edges)
+        if is_negative_definite(intersection_matrix(g)):
+            out.append(g)
+    return out
+
+
+def test_row_rationality_test_matches_laufer_rational_on_every_connected_part():
+    verdicts, kinds = set(), set()
+    for g in _row_test_graphs():
+        for size in range(1, len(g.ids) + 1):
+            for keep in itertools.combinations(g.ids, size):
+                if len(vertex_components(keep, g.edges)) > 1:
+                    continue
+                sub = induced_subgraph(g, set(keep))
+                verdict = laufer._rational_part(g, set(keep))
+                assert verdict == laufer_rational(sub), (g, keep)
+                verdicts.add(verdict)
+                kinds.add((sub.is_tree, sub.all_genus_zero, sub.is_minimal_resolution, verdict))
+    assert verdicts == {True, False}
+    assert {(False, True), (True, False)} <= {kind[:2] for kind in kinds}
+    assert (True, True, False, True) in kinds and (True, True, True, False) in kinds
+
+
+def test_elliptic_cycle_builds_at_most_one_graph(monkeypatch):
+    # the pass decides rationality on the graph's own rows; only the
+    # minimal non-rational subgraph, when proper, becomes a graph
+    trees = [large_elliptic_tree(), blow_up(large_elliptic_tree(), ("v0", "v1"))[0]]
+    fresh = [catalog("gamma-2-3-7")] + [ResolutionGraph(g.vertices, g.edges) for g in trees]
+    built = []
+    init = ResolutionGraph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResolutionGraph, "__init__", counting)
+    for g in fresh:
+        built.clear()
+        minimally_elliptic_cycle(g)
+        assert len(built) <= 1, g
+    assert len(built) == 1  # the blown-up tree's support is proper
 
 
 def test_elliptic_cycle_is_the_canonical_cycle_of_its_support(

@@ -485,3 +485,25 @@ def test_pairing_adapter_runs_only_in_its_audits(z7, monkeypatch):
     monkeypatch.setattr(oracle, "pairing", lambda *args: calls.append(args) or pairing(*args))
     assert verify_all(z7).passed
     assert len(calls) == len(z7.ids) ** 2 + 10
+
+
+def test_path_independence_derives_each_reduced_start_once(monkeypatch):
+    # with the default-policy table full, only the tie-break climbs of
+    # sequence-path-independence need a class's reduced numerators, and
+    # they share one derivation per class across the five trials
+    from singlat import laufer, lattice, oracle
+    g = catalog("paper-z7")
+    cg = class_group(g)
+    for h in cg.elements():
+        laufer.minimal_numerators(g, cg, h)
+    reduced = lattice.reduced_numerators
+    calls = []
+
+    def counting(cg, h):
+        calls.append(h.coords)
+        return reduced(cg, h)
+
+    monkeypatch.setattr(laufer, "reduced_numerators", counting)
+    monkeypatch.setattr(oracle, "reduced_numerators", counting, raising=False)
+    assert verify_all(g).passed
+    assert sorted(calls) == sorted(h.coords for h in cg.elements())
