@@ -283,14 +283,14 @@ def catalog_source(name: str) -> str:
     """DSL source of a named catalog graph."""
     if name in _STATIC_CATALOG:
         return _STATIC_CATALOG[name]
-    if match := re.fullmatch(r"A(\d+)", name):
+    # ASCII digits with no leading zero, so each graph has one name
+    if match := re.fullmatch(r"A([1-9][0-9]*)", name):
         n = int(match.group(1))
-        if n >= 1:
-            lines = [f"graph A{n}"]
-            lines += [f"vertex v{i} euler=-2" for i in range(1, n + 1)]
-            lines += [f"edge v{i} v{i + 1}" for i in range(1, n)]
-            return "\n".join(lines) + "\n"
-    if match := re.fullmatch(r"D(\d+)", name):
+        lines = [f"graph A{n}"]
+        lines += [f"vertex v{i} euler=-2" for i in range(1, n + 1)]
+        lines += [f"edge v{i} v{i + 1}" for i in range(1, n)]
+        return "\n".join(lines) + "\n"
+    if match := re.fullmatch(r"D([1-9][0-9]*)", name):
         n = int(match.group(1))
         if n >= 4:
             lines = [f"graph D{n}"]

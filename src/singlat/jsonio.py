@@ -4,11 +4,15 @@ Integers are serialised as strings so consumers never face 64-bit overflow;
 rationals are {"num", "den"} string pairs with positive denominator; cycle
 coefficients are arrays ordered like the graph's vertex list. Cycles come
 as integer numerators over a scale, the program's one cycle format, and
-`encode_numerators` is their one writer, in lowest terms; a `RatCycle`,
-met only in records and public arguments, goes through `cycle_vector`
-once, in `encode_cycle`. Every top-level document carries the schema version.
-`dumps` writes a document in the `indent=2` form of the standard library
-by itself, as that form sends `json.dumps` to its pure-Python encoder.
+`encode_numerators` turns them into one leaf, a `Numerators` tuple of the
+numerators and the scale, with no dict per rational; a `RatCycle`, met
+only in records and public arguments, goes through `cycle_vector` once, in
+`encode_cycle`. Every top-level document carries the schema version.
+`dumps` is the one writer. It writes a document in the `indent=2` form of
+the standard library by itself, as that form sends `json.dumps` to its
+pure-Python encoder, and renders each leaf by template as the array of
+its rationals in lowest terms: `dumps(doc)` is `json.dumps` of the
+document with every leaf expanded to its list of {"num", "den"} dicts.
 """
 
 from __future__ import annotations
@@ -35,13 +39,20 @@ def encode_rational(q) -> dict:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
-def encode_numerators(vec, scale: int) -> list[dict]:
-    """The rationals x / scale for x in `vec`, each in lowest terms: the
-    one writer of cycles, which leave the program as numerators."""
-    return [{"num": str(x // (d := gcd(x, scale))), "den": str(scale // d)} for x in vec]
+class Numerators(tuple):
+    """A cycle leaf of a document: the pair (numerators, scale) standing for
+    the rationals x / scale, which `dumps` writes in lowest terms."""
+
+    __slots__ = ()
 
 
-def encode_cycle(g: ResolutionGraph, cycle: RatCycle) -> list[dict]:
+def encode_numerators(vec, scale: int) -> Numerators:
+    """The leaf of the rationals x / scale for x in `vec`: how cycles, which
+    leave the program as numerators, enter a document."""
+    return Numerators((tuple(vec), scale))
+
+
+def encode_cycle(g: ResolutionGraph, cycle: RatCycle) -> Numerators:
     return encode_numerators(*cycle_vector(g, cycle))
 
 
@@ -190,8 +201,10 @@ _LITERALS = {True: "true", False: "false", None: "null"}
 
 def dumps(doc: dict) -> str:
     """The text of `json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"`
-    for a document of dicts with string keys, lists, strings, booleans and
-    None; any other value, numbers included, raises TypeError."""
+    for a document of dicts with string keys, lists, strings, booleans,
+    None and `Numerators` leaves, each leaf read as its list of lowest-terms
+    {"num", "den"} dicts; any other value, numbers included, raises
+    TypeError."""
     parts: list[str] = []
     _write(doc, "\n", parts)
     parts.append("\n")
@@ -199,7 +212,8 @@ def dumps(doc: dict) -> str:
 
 
 def _write(value, newline: str, parts: list[str]) -> None:
-    """Append the pieces of one value whose lines start after `newline`."""
+    """Append the pieces of one value whose lines start after `newline`;
+    a leaf goes out as one piece, by template."""
     if isinstance(value, str):
         parts.append(encode_basestring(value))
     elif value is None or value is True or value is False:
@@ -226,5 +240,16 @@ def _write(value, newline: str, parts: list[str]) -> None:
             _write(item, inner, parts)
             separator = "," + inner
         parts.append(newline + "]")
+    elif isinstance(value, Numerators):
+        vec, scale = value
+        if not vec:
+            parts.append("[]")
+            return
+        # each rational is {"num": .., "den": ..} one level in, its keys two
+        inner = newline + "  "
+        head, mid, tail = "{" + inner + '  "num": "', '",' + inner + '  "den": "', '"' + inner + "}"
+        parts.append("[" + inner + ("," + inner).join(
+            [f"{head}{x // (d := gcd(x, scale))}{mid}{scale // d}{tail}" for x in vec])
+            + newline + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -156,6 +156,15 @@ def test_catalog_unknown(capsys):
     assert "known names" in err
 
 
+@pytest.mark.parametrize("name", ["D٥", "A٣", "A03", "D05", "A0", "D0", "A", "A-1",
+                                  "A３", "D3"])
+def test_catalog_family_names_are_ascii_without_leading_zeros(capsys, name):
+    for argv in (("catalog", name), ("invariants", "--catalog", name)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"unknown catalog graph {name!r}" in err and "known names" in err
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "--catalog", "A2")
     assert code == 0

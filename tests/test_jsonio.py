@@ -9,7 +9,7 @@ from singlat import (InputError, RatCycle, catalog, class_group, classify_singul
                      flat_annotation, full_sheaf_classes_rational, fundamental_cycle,
                      verify_all)
 from singlat.cli import format_cycle
-from singlat.jsonio import dumps, encode_numerators, encode_rational, to_json
+from singlat.jsonio import Numerators, dumps, encode_numerators, encode_rational, to_json
 from singlat.schema import validate
 
 from conftest import graph
@@ -140,7 +140,9 @@ def test_dumps_of_empty_containers_and_literals():
 
 
 @pytest.mark.parametrize("doc", [{"x": 1.5}, {"x": [0.0]}, {"x": 3}, {"x": (1,)}, {1: "x"},
-                                 {"x": {"y": object()}}])
+                                 {"x": {"y": object()}}, {"x": ["a", "b", 2]},
+                                 {"x": {"a": "b", 1: "c"}}, {"x": {"a": "b", None: "c"}},
+                                 {"x": {"a": "b", "c": 1}}])
 def test_dumps_refuses_numbers_and_other_types(doc):
     with pytest.raises(TypeError):
         dumps(doc)
@@ -159,10 +161,41 @@ def ratcycle_format(g, cycle):
 
 
 @st.composite
-def numerators(draw):
+def numerators(draw, min_size=1):
     scale = draw(st.integers(1, 30))
     entry = st.one_of(st.integers(-90, 90), st.sampled_from((0, scale, -scale)))
-    return draw(st.lists(entry, min_size=1, max_size=6)), scale
+    return draw(st.lists(entry, min_size=min_size, max_size=6)), scale
+
+
+def expand(value):
+    """The document of dicts that `dumps` reads a document of leaves as:
+    each leaf becomes its list of lowest-terms {"num", "den"} dicts."""
+    if isinstance(value, Numerators):
+        vec, scale = value
+        return [encode_rational(Fraction(x, scale)) for x in vec]
+    if isinstance(value, dict):
+        return {key: expand(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [expand(item) for item in value]
+    return value
+
+
+# Leaves at every depth, next to lists and dicts of strings only.
+leaf_documents = st.recursive(
+    st.one_of(json_text, st.booleans(), st.none(),
+              numerators(min_size=0).map(lambda pair: encode_numerators(*pair))),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(json_text, inner, max_size=4),
+                            st.lists(json_text, max_size=4),
+                            st.dictionaries(json_text, json_text, max_size=4)),
+    max_leaves=30)
+
+
+@given(st.dictionaries(json_text, leaf_documents, max_size=5))
+@example({"empty": encode_numerators([], 5), "one": encode_numerators([1, -1, 0], 1),
+          "units": [encode_numerators([7, -7, 14, 0, -3], 7)]})
+def test_dumps_writes_leaves_as_their_expansion(doc):
+    assert dumps(doc) == json.dumps(expand(doc), indent=2, ensure_ascii=False) + "\n"
 
 
 @given(numerators())
@@ -171,7 +204,8 @@ def numerators(draw):
 @example(([6, -4, 12, 5], 6))
 def test_numerator_writers_match_fractions(vec_scale):
     vec, scale = vec_scale
-    assert encode_numerators(vec, scale) == [encode_rational(Fraction(x, scale)) for x in vec]
+    leaf = encode_numerators(vec, scale)
+    assert json.loads(dumps({"c": leaf}))["c"] == [encode_rational(Fraction(x, scale)) for x in vec]
     g = catalog(f"A{len(vec)}")
     cycle = RatCycle(zip(g.ids, (Fraction(x, scale) for x in vec)))
     assert format_cycle(g, vec, scale) == ratcycle_format(g, cycle)
