@@ -437,31 +437,35 @@ def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> Reso
 
     With the Euler number omitted, it is found in closed form. Z_min of any
     extension restricts to an anti-nef cycle on g, so it is at least
-    Z_min(g) + E_new. Let Z' be the least cycle at or above Z_min(g) that
-    pairs at most 0 with every vertex of g and at most -1 with v: one climb
-    on g from Z_min(g), with E_new's +1 at v carried as an initial pairing.
-    Then E_new has multiplicity one exactly when k <= -z'_v, and for every
+    Z_min(g) + E_new. Let Z' be the least integral x >= Z_min(g) with
+    (x, E_w) <= -delta_vw on g. Any such x minus E_v^* is anti-nef and in
+    the class of -E_v^*, so at least its minimal cycle s. Conversely,
+    E_v^* + s is integral, anti-nef and nonzero, hence at least Z_min(g):
+    Z' = E_v^* + s, column v of adj(-M) over det(-M) plus one class-table
+    entry. E_new has multiplicity one exactly when k <= -z'_v, and for every
     such k, Z_min(ext) = Z' + E_new, whose chi, chi(Z') + 1 - z'_v, does not
     depend on k: neither the multiplicity nor the rationality verdict moves
     below -z'_v. The extension takes k = min(-2, first negative-definite
-    value, -z'_v), the first value of that stable range, and is built once,
-    knowing its Z_min; its `fundamental_cycle` sequence is still the one
-    from its first vertex.
+    value, -z'_v), the first of that stable range, and is built once knowing
+    its Z_min, though not its `fundamental_cycle` sequence.
     """
     adj, det = adjugate(g), lattice_determinant(g)
     position = g.index(vid)
-    adj_self = adj[position][position]
+    column = adj[position]  # adj(-M) is symmetric
     new_id = g.fresh_id("ext")
     if euler is not None:
-        if not euler * det < -adj_self:
+        if not euler * det < -column[position]:
             raise PreconditionError(
                 f"extension at {vid!r} with Euler number {euler} is not negative definite")
         return _extended(g, vid, new_id, euler, {})
 
-    from . import laufer  # local import: the climb lives upstream
+    from . import lattice, laufer  # local import: both build on this module
 
-    end = laufer._climb(diagonal(g), neighbours(g), laufer.z_min_numerators(g), 1, None,
-                        laufer._BOOTSTRAP_CAP, ((position, 1),))[1]
-    first = -(adj_self // det) - 1
-    return _extended(g, vid, new_id, min(-2, first, -end[position]),
-                     {laufer.z_min_numerators: tuple(end + [1])})
+    cg = lattice.class_group(g)
+    h = lattice.ClassElement(lattice._class_of(cg, column, det))
+    end = [a + s for a, s in zip(column, laufer.minimal_numerators(g, cg, cg.neg(h)))]
+    if any(x % det for x in end):  # pragma: no cover - cross-check
+        raise InternalError(f"Z' at {vid!r} is not integral")
+    z_min = tuple(x // det for x in end) + (1,)
+    return _extended(g, vid, new_id, min(-2, -(column[position] // det) - 1, -z_min[position]),
+                     {laufer.z_min_numerators: z_min})

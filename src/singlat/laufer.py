@@ -10,7 +10,8 @@ Each step costs O(deg) integer work on numerators over one scale: the
 positive vertices sit in a min-heap, and a step updates only the chosen
 vertex and its neighbours. Class cycles, `h1_rational` and Z_min (kept per
 graph as integers) climb from integers; only `antinef_closure` and
-`fundamental_cycle` build a sequence object. As chi(x + E_v) = chi(x) + 1 -
+`fundamental_cycle` build a sequence object, and `graph.extend_graph` reads
+an extension's Z_min off the class table. As chi(x + E_v) = chi(x) + 1 -
 (x, E_v) on genus-zero vertices (Laufer, Amer. J. Math. 94, 1972), an h1
 sum is chi(start) - chi(end), and `classify` reads it off the class table.
 The minimally elliptic cycle is a canonical cycle on a subgraph found by
@@ -48,13 +49,10 @@ class ComputationSequence(Record):
         return len(self.steps)
 
 
-def _climb(diag: list[int], rows, vec: list[int], scale: int, choose, cap: int,
-           offset=()):
+def _climb(diag: list[int], rows, vec: list[int], scale: int, choose, cap: int):
     """Laufer's loop on the form with the given diagonal and `neighbours`
     rows, from the cycle with integer numerators `vec` over `scale`; O(deg)
-    per step. `offset` holds (position, value times scale) pairs added to
-    the starting pairings: the pairings of a fixed cycle off the form.
-    Off-diagonal entries are nonnegative, so a step can only make
+    per step. Off-diagonal entries are nonnegative, so a step can only make
     neighbours positive and only the chosen vertex can stop being positive:
     a min-heap of the positive positions needs no lazy deletion, and its top
     is the lowest position. `choose` picks from the positive positions in
@@ -62,8 +60,6 @@ def _climb(diag: list[int], rows, vec: list[int], scale: int, choose, cap: int,
     times scale) pairs and the end's numerators over `scale`.
     """
     level = sparse_pairings(diag, rows, vec)
-    for i, value in offset:
-        level[i] += value
     end = list(vec)
     positive = [i for i, value in enumerate(level) if value > 0]  # sorted, so a heap
     steps = []
@@ -128,9 +124,9 @@ def _fundamental_cycle_default(g: ResolutionGraph) -> ComputationSequence:
 def z_min_numerators(g: ResolutionGraph) -> tuple[int, ...]:
     """The fundamental cycle Z_min's integer coefficients in vertex order,
     the end of `fundamental_cycle(g)`, climbed without building that sequence.
-    An extension from `graph.extend_graph` is built knowing them from a warm
-    start; only this cycle is seeded, never the sequence `fundamental_cycle`
-    reports, whose start and steps differ."""
+    An extension from `graph.extend_graph` is built knowing them, read off
+    its base graph's class table; only this cycle is seeded, never the
+    sequence `fundamental_cycle` reports, whose start and steps differ."""
     start = [0] * len(g.ids)
     start[0] = 1
     _steps, end = _sequence(g, start, 1, None, _BOOTSTRAP_CAP)
@@ -205,22 +201,22 @@ def minimal_numerators(g: ResolutionGraph, cg: ClassGroup, h: ClassElement,
                        tie_break: Optional[TieBreak] = None, *,
                        start: Optional[list[int]] = None) -> tuple[int, ...]:
     """The numerators over det(-M) of the class's minimal anti-nef cycle,
-    in vertex order: the closure of its reduced representative. Under the
-    default policy each class climbs once per graph; a tie-break policy
-    climbs afresh and leaves the table alone. A caller that already holds
-    `lattice.reduced_numerators(cg, h)` passes it as `start`, so a climb
-    does not derive it again."""
+    in vertex order: the closure of its reduced representative, zero for the
+    zero class. Each other class climbs once per graph under the default
+    policy; a tie-break policy climbs afresh and leaves the table alone. A
+    caller holding `lattice.reduced_numerators(cg, h)` passes it as `start`."""
     if cg.graph is not g and cg.graph != g:
         raise PreconditionError("the class group given is not the one of this graph")
     table = _minimal_cycles(g)
     if tie_break is None and h.coords in table:
         return table[h.coords]
+    if h.is_zero:  # the zero cycle is anti-nef already
+        cg.validate(h)
+        return (0,) * len(g.ids)
     if start is None:
         start = reduced_numerators(cg, h)
     _steps, end = _sequence(g, start, cg.order, tie_break)
-    if h.is_zero and any(end):  # pragma: no cover - cross-check
-        raise InternalError("the zero class produced a nonzero minimal cycle")
-    if not h.is_zero and not any(end):  # pragma: no cover - cross-check
+    if not any(end):  # pragma: no cover - cross-check
         raise InternalError("a nonzero class produced the zero cycle")
     end = tuple(end)
     if tie_break is None:

@@ -101,6 +101,23 @@ def test_special_climbs_once_per_class(monkeypatch):
     assert len(climbs) == class_group(g).order
 
 
+def test_wunram_table_climbs_nothing_after_special(z7, monkeypatch):
+    """Once `special_full_sheaves` has filled the class table, the per-vertex
+    table climbs nothing: each extension's Z' is a dual cycle plus a table
+    entry, and the zero class needs no climb."""
+    from singlat import laufer
+    blown_up, _ = blow_up(z7, "E4")
+    climb = laufer._climb
+    for g in (catalog("A40"), catalog("D40"), catalog("E8"), z7, blown_up):
+        special_full_sheaves(g)
+        climbs = []
+        monkeypatch.setattr(laufer, "_climb", lambda *args: climbs.append(args) or climb(*args))
+        table = wunram_table(g)
+        monkeypatch.undo()
+        assert climbs == [] and len(table) == len(g.ids), g
+    assert not blown_up.is_minimal_resolution
+
+
 # --- per-vertex table ---
 
 def test_wunram_z7(z7):

@@ -1,6 +1,6 @@
 """The ADE families against their closed forms: A_n and D_n up to n = 80,
 and E6, E7, E8; the cyclic quotients 1/n(1, q) up to n = 40; and the
-extensions of A_n up to n = 30.
+extensions and the `sh` step counts of A_n up to n = 30.
 
 The determinant, the invariant factors, the fundamental cycle (the highest
 root) and the special classes of the simply laced Dynkin diagrams are
@@ -16,13 +16,15 @@ the sum of all vertices; and its special classes are exactly the duals of
 its vertices, one per vertex (Wunram, Math. Ann. 279, 1988).
 """
 
+import json
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import pytest
 
 from singlat import (RatCycle, catalog, class_group, dual_cycle, extend_graph, lattice_determinant,
                      special_full_sheaves)
+from singlat.cli import main
 from singlat.laufer import z_min_cycle
 
 from conftest import graph
@@ -132,3 +134,23 @@ def test_a_n_extension_fundamental_cycle(n):
         expected = {vid: left[vid] + right[vid] for vid in a.ids}
         expected[new] = 1
         assert z_min_cycle(ext) == RatCycle(expected), (n, i)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_a_n_sh_steps(n, capsys):
+    """Each step of a climb adds one unit, and the climb to a minimal cycle
+    E_i^* starts from its fractional parts, so an `sh` row of A_n whose
+    minimal cycle is E_i^* takes sum_j floor(E_i^*_j) steps; the zero class
+    takes none. Every nonzero class of A_n has a dual as its minimal cycle."""
+    assert main(["sh", "--catalog", f"A{n}", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    ids = [vert["id"] for vert in doc["graph"]["vertices"]]
+    steps = {}
+    for i in range(1, n + 1):
+        dual = a_dual(n, i)
+        steps[tuple(dual[vid] for vid in ids)] = sum(floor(x) for x in dual.values())
+    steps[(0,) * n] = 0
+    for row in doc["rows"]:
+        min_rep = tuple(Fraction(int(x["num"]), int(x["den"])) for x in row["min_rep"])
+        assert row["steps"] == str(steps.pop(min_rep)), (n, row["class"])
+    assert steps == {}, n

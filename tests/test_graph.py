@@ -345,8 +345,9 @@ def _cold_verdicts(g, vid, euler):
 
 
 def test_warm_probes_match_cold_fundamental_cycles(rational_corpus, negdef_corpus, monkeypatch):
-    """Each search builds exactly one extension, from one climb on g with no
-    cold sequence and no elimination, and seeds it with the cold Z_min."""
+    """Each search builds exactly one extension, from g's dual cycle and one
+    class-table entry, with no cold sequence and no elimination, and seeds
+    it with the cold Z_min."""
     graphs = _extension_graphs(rational_corpus, negdef_corpus)
     for g in graphs:  # the input graphs' own values, computed before counting
         fundamental_cycle(g)
@@ -377,10 +378,13 @@ def test_warm_probes_match_cold_fundamental_cycles(rational_corpus, negdef_corpu
 
 
 def test_extension_builds_no_rational_cycle(rational_corpus, monkeypatch):
-    """The search climbs from Z_min's integers and seeds the extension's
-    Z_min as integers, so neither it nor the extension's rationality test
-    builds a `RatCycle`."""
+    """The search reads Z' off the class table in integers and seeds the
+    extension's Z_min as integers, so neither it nor the extension's
+    rationality test builds a `RatCycle`. A cold class group builds its
+    public generators as `RatCycle`s, so it is warmed first."""
     graphs = [catalog("D7"), catalog("E8"), *rational_corpus[:30]]
+    for g in graphs:
+        class_group(g)
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("a RatCycle built while extending")
