@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
-from .graph import (ResolutionGraph, adjugate, chi_numerator, diagonal, extend_graph, neighbours,
-                    sparse_pairings, vector_cycle)
-from .lattice import ClassElement, ClassGroup, _class_of, class_group
+from .graph import (ResolutionGraph, adjugate, adjunction_targets, chi_from_self_pairing, diagonal,
+                    extend_graph, neighbours, sparse_pairings, vector_cycle)
+from .lattice import ClassElement, ClassGroup, class_group, dual_class
 from .laufer import (SingularityType, classify_singularity, laufer_rational, minimal_antinef_rep,
-                     minimal_numerators, z_min_cycle, z_min_numerators)
+                     minimal_cycle, minimal_numerators, z_min_cycle, z_min_numerators)
 from .record import Record
 
 FLAT_ALL = "all"
@@ -67,10 +67,13 @@ def _class_h1(g: ResolutionGraph, cg: ClassGroup, h: ClassElement) -> int:
     """h1 of the bundle whose negated Chern class is the minimal cycle s_h,
     on a rational graph: chi(-s_h) - chi(s_[-h]), to which the sum of
     (pairing - 1) along the climb from -s_h to s_[-h] telescopes. Both
-    cycles come from the class table; each chi is taken times 2 det^2."""
-    det = cg.order
-    top = chi_numerator(g, [-x for x in minimal_numerators(g, cg, h)], det)
-    bottom = chi_numerator(g, minimal_numerators(g, cg, cg.neg(h)), det)
+    cycles and their self-pairings come from the class table, with no pass;
+    each chi is taken times 2 det^2."""
+    det, targets = cg.order, adjunction_targets(g)
+    end, self_pairing = minimal_cycle(g, cg, h)
+    top = chi_from_self_pairing(targets, [-x for x in end], det, self_pairing)
+    end, self_pairing = minimal_cycle(g, cg, cg.neg(h))
+    bottom = chi_from_self_pairing(targets, end, det, self_pairing)
     h1, rest = divmod(top - bottom, 2 * det * det)
     if rest:  # pragma: no cover - the climb adds integer steps
         raise InternalError(f"class {h.coords}: the chi difference is not an integer")
@@ -117,12 +120,12 @@ def special_full_sheaves(g: ResolutionGraph) -> tuple[SpecialnessRecord, ...]:
 
 
 def _dual_classes(g: ResolutionGraph, cg: ClassGroup):
-    """Per vertex: its id, its dual cycle, the dual's class, and whether
-    the dual is the class's minimal cycle, with that minimal cycle."""
+    """Per vertex: its id, its dual cycle, the dual's class (read off U), and
+    whether the dual is the class's minimal cycle, with that minimal cycle."""
     det = cg.order
-    for vid, column in zip(g.ids, adjugate(g)):
+    for position, (vid, column) in enumerate(zip(g.ids, adjugate(g))):
         dual = vector_cycle(g, column, det)
-        h = ClassElement(_class_of(cg, column, det))
+        h = dual_class(cg, position)
         end = minimal_numerators(g, cg, h)
         dual_is_min = end == column
         yield vid, dual, h, dual_is_min, dual if dual_is_min else vector_cycle(g, end, det)

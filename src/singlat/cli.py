@@ -12,12 +12,12 @@ import os
 import sys
 from fractions import Fraction
 
-from . import dsl, jsonio, oracle
+from . import dsl, jsonio, laufer, oracle
 from .classify import (flat_annotation, full_sheaf_classes_min_elliptic,
                        full_sheaf_classes_rational, special_full_sheaves, wunram_table)
 from .errors import InputError, InternalError, PreconditionError, SinglatError
 from .graph import (ResolutionGraph, _negative_definite, adjugate, blow_up, canonical_numerators,
-                    chi_numerator, cycle_vector, extend_graph, transform_numerators)
+                    cycle_vector, extend_graph, transform_numerators)
 from .lattice import ClassElement, _class_of, class_group, reduced_numerators
 from .laufer import classify_singularity, laufer_rational, minimal_numerators, z_min_numerators
 
@@ -116,7 +116,7 @@ def cmd_invariants(args) -> int:
     g = _load_graph(args)
     cg = class_group(g)
     z_min, z_k = z_min_numerators(g), canonical_numerators(g)
-    chi_min = Fraction(chi_numerator(g, z_min, 1), 2)
+    chi_min = Fraction(laufer.z_min_chi_numerator(g), 2)
     # column v of adj(-M) over det(-M) is the dual cycle E_v^*
     duals, det = tuple(zip(g.ids, adjugate(g))), cg.order
     integral = not any(x % det for x in z_k)
@@ -188,7 +188,7 @@ def cmd_classify(args) -> int:
     elif st.minimally_elliptic:
         report = full_sheaf_classes_min_elliptic(g)
     else:
-        chi_min = Fraction(chi_numerator(g, z_min_numerators(g), 1), 2)
+        chi_min = Fraction(laufer.z_min_chi_numerator(g), 2)
         raise PreconditionError(
             f"graph is neither rational nor minimally elliptic (classified as {st.kind}; "
             f"chi of the fundamental cycle is {chi_min})")
@@ -379,6 +379,8 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
+        if args.box is not None:  # refused on every command, not only when verifying
+            oracle._require_positive_scale(args.box)
         return args.func(args)
     except (InputError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -366,18 +366,17 @@ def chi(g: ResolutionGraph, cycle: RatCycle) -> Fraction:
 
 def chi_numerator(g: ResolutionGraph, vec: list[int], scale: int) -> int:
     """2 scale^2 chi(l) for the cycle l with integer numerators `vec` over
-    `scale`, from `sparse_chi_numerator` on g's rows."""
+    `scale`: one pairing pass on g's rows, then `chi_from_self_pairing`."""
     require_negative_definite(g)
-    return sparse_chi_numerator(diagonal(g), neighbours(g), adjunction_targets(g), vec, scale)
+    pairings = sparse_pairings(diagonal(g), neighbours(g), vec)
+    return chi_from_self_pairing(adjunction_targets(g), vec, scale,
+                                 sum(x * p for x, p in zip(vec, pairings)))
 
 
-def sparse_chi_numerator(diag, rows, targets, vec: list[int], scale: int) -> int:
-    """2 scale^2 chi(l) for the cycle l = vec / scale on the form with the
-    given diagonal, `neighbours` rows and adjunction targets: (l, K) is read
-    off the targets, so no linear solve is needed."""
-    with_k = sum(x * t for x, t in zip(vec, targets))
-    self_pairing = sum(x * p for x, p in zip(vec, sparse_pairings(diag, rows, vec)))
-    return with_k * scale - self_pairing
+def chi_from_self_pairing(targets, vec: list[int], scale: int, self_pairing: int) -> int:
+    """The one chi formula: 2 scale^2 chi(l) for l = vec / scale, given
+    scale^2 (l, l). (l, K) is read off the adjunction targets: no solve."""
+    return sum(x * t for x, t in zip(vec, targets)) * scale - self_pairing
 
 
 def blow_up(g: ResolutionGraph, locus: Union[str, tuple[str, str]]) -> tuple[ResolutionGraph, BlowUpMap]:
@@ -442,12 +441,12 @@ def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> Reso
     the class of -E_v^*, so at least its minimal cycle s. Conversely,
     E_v^* + s is integral, anti-nef and nonzero, hence at least Z_min(g):
     Z' = E_v^* + s, column v of adj(-M) over det(-M) plus one class-table
-    entry. E_new has multiplicity one exactly when k <= -z'_v, and for every
-    such k, Z_min(ext) = Z' + E_new, whose chi, chi(Z') + 1 - z'_v, does not
-    depend on k: neither the multiplicity nor the rationality verdict moves
-    below -z'_v. The extension takes k = min(-2, first negative-definite
-    value, -z'_v), the first of that stable range, and is built once knowing
-    its Z_min, though not its `fundamental_cycle` sequence.
+    entry (E_v^*'s class read off U). E_new has multiplicity one exactly when
+    k <= -z'_v, and for every such k, Z_min(ext) = Z' + E_new, whose chi,
+    chi(Z') + 1 - z'_v, does not depend on k: neither the multiplicity nor
+    the rationality verdict moves below -z'_v. The extension takes k =
+    min(-2, first negative-definite value, -z'_v), the first of that stable
+    range, built once knowing its Z_min and chi(Z_min) (one pass on Z').
     """
     adj, det = adjugate(g), lattice_determinant(g)
     position = g.index(vid)
@@ -462,10 +461,11 @@ def extend_graph(g: ResolutionGraph, vid: str, euler: int | None = None) -> Reso
     from . import lattice, laufer  # local import: both build on this module
 
     cg = lattice.class_group(g)
-    h = lattice.ClassElement(lattice._class_of(cg, column, det))
+    h = lattice.dual_class(cg, position)
     end = [a + s for a, s in zip(column, laufer.minimal_numerators(g, cg, cg.neg(h)))]
     if any(x % det for x in end):  # pragma: no cover - cross-check
         raise InternalError(f"Z' at {vid!r} is not integral")
-    z_min = tuple(x // det for x in end) + (1,)
-    return _extended(g, vid, new_id, min(-2, -(column[position] // det) - 1, -z_min[position]),
-                     {laufer.z_min_numerators: z_min})
+    z_prime = [x // det for x in end]
+    chi = chi_numerator(g, z_prime, 1) + 2 - 2 * z_prime[position]  # 2 chi(Z' + E_new)
+    return _extended(g, vid, new_id, min(-2, -(column[position] // det) - 1, -z_prime[position]),
+                     {laufer._z_min: ((*z_prime, 1), chi)})

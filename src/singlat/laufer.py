@@ -8,15 +8,15 @@ only the path varies, and tests exercise randomized policies to confirm it.
 
 Each step costs O(deg) integer work on numerators over one scale: the
 positive vertices sit in a min-heap, and a step updates only the chosen
-vertex and its neighbours. Class cycles, `h1_rational` and Z_min (kept per
-graph as integers) climb from integers; only `antinef_closure` and
-`fundamental_cycle` build a sequence object, and `graph.extend_graph` reads
-an extension's Z_min off the class table. As chi(x + E_v) = chi(x) + 1 -
-(x, E_v) on genus-zero vertices (Laufer, Amer. J. Math. 94, 1972), an h1
-sum is chi(start) - chi(end), and `classify` reads it off the class table.
-The minimally elliptic cycle is a canonical cycle on a subgraph found by
-rationality tests on the graph's own rows, on every resolution; no grid of
-cycles is walked.
+vertex and its neighbours. A climb runs one pairing pass, on its start, and
+hands back its end's pairings, so the class table keeps each minimal cycle's
+self-pairing and each graph keeps 2 chi(Z_min) beside Z_min. Only
+`antinef_closure` and `fundamental_cycle` build a sequence object. As
+chi(x + E_v) = chi(x) + 1 - (x, E_v) on genus-zero vertices (Laufer, Amer.
+J. Math. 94, 1972), an h1 sum is chi(start) - chi(end), which `classify`
+reads off the class table with no pass. The minimally elliptic cycle is a
+canonical cycle on a subgraph found by rationality tests on the graph's own
+rows, on every resolution; no grid of cycles is walked.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from typing import Callable, Optional
 from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
 from .graph import (ResolutionGraph, adjugate, adjunction_targets, canonical_numerators,
-                    chi_numerator, cycle_vector, diagonal, dual_coordinates, induced_subgraph,
-                    lattice_determinant, neighbours, per_graph, require_negative_definite,
-                    sparse_chi_numerator, sparse_pairings, vector_cycle, vertex_components)
+                    chi_from_self_pairing, chi_numerator, cycle_vector, diagonal,
+                    dual_coordinates, induced_subgraph, lattice_determinant, neighbours,
+                    per_graph, require_negative_definite, sparse_pairings, vector_cycle,
+                    vertex_components)
 from .lattice import ClassElement, ClassGroup, reduced_numerators
 from .record import Record
 
@@ -49,17 +50,16 @@ class ComputationSequence(Record):
         return len(self.steps)
 
 
-def _climb(diag: list[int], rows, vec: list[int], scale: int, choose, cap: int):
+def _climb(diag, rows, vec: list[int], scale: int, level: list[int], choose, cap: int):
     """Laufer's loop on the form with the given diagonal and `neighbours`
-    rows, from the cycle with integer numerators `vec` over `scale`; O(deg)
-    per step. Off-diagonal entries are nonnegative, so a step can only make
-    neighbours positive and only the chosen vertex can stop being positive:
-    a min-heap of the positive positions needs no lazy deletion, and its top
-    is the lowest position. `choose` picks from the positive positions in
-    order; None takes the lowest. Returns the steps as (position, pairing
-    times scale) pairs and the end's numerators over `scale`.
-    """
-    level = sparse_pairings(diag, rows, vec)
+    rows, from the cycle with integer numerators `vec` and pairings `level`
+    over `scale`; O(deg) per step and no pairing pass. Off-diagonal entries
+    are nonnegative, so a step can only make neighbours positive and only
+    the chosen vertex can stop being positive: a min-heap of the positive
+    positions needs no lazy deletion, and its top is the lowest position.
+    `choose` picks from the positive positions in order; None takes the
+    lowest. Returns the steps as (position, pairing times scale) pairs and
+    the end's numerators and pairings (`level`, updated in place)."""
     end = list(vec)
     positive = [i for i, value in enumerate(level) if value > 0]  # sorted, so a heap
     steps = []
@@ -82,7 +82,7 @@ def _climb(diag: list[int], rows, vec: list[int], scale: int, choose, cap: int):
             raise InternalError(
                 f"computation sequence exceeded its step cap of {cap}; "
                 "this indicates a broken invariant, not bad input")
-    return steps, end
+    return steps, end, level
 
 
 def _sequence(g: ResolutionGraph, vec: list[int], scale: int, tie_break, cap=None):
@@ -96,15 +96,17 @@ def _sequence(g: ResolutionGraph, vec: list[int], scale: int, tie_break, cap=Non
             if chosen not in candidates:
                 raise InternalError(f"tie-break returned {chosen!r}, not a candidate")
             return positions[candidates.index(chosen)]
+    diag, rows = diagonal(g), neighbours(g)
+    level = sparse_pairings(diag, rows, vec)
     if cap is None:
-        cap = _step_cap(g, vec, scale)
-    return _climb(diagonal(g), neighbours(g), vec, scale, choose, cap)
+        cap = _step_cap(g, level, scale)
+    return _climb(diag, rows, vec, scale, level, choose, cap)
 
 
 def _run_sequence(g: ResolutionGraph, start: RatCycle, tie_break: Optional[TieBreak],
                   cap: Optional[int]) -> ComputationSequence:
     vec, scale = cycle_vector(g, start)
-    steps, end = _sequence(g, vec, scale, tie_break, cap)
+    steps, end, _level = _sequence(g, vec, scale, tie_break, cap)
     ids = g.ids
     return ComputationSequence(
         start, tuple(LauferStep(ids[i], Fraction(value, scale)) for i, value in steps),
@@ -120,19 +122,33 @@ def _fundamental_cycle_default(g: ResolutionGraph) -> ComputationSequence:
     return _run_sequence(g, RatCycle.unit(g.ids[0]), None, _BOOTSTRAP_CAP)
 
 
-@per_graph
-def z_min_numerators(g: ResolutionGraph) -> tuple[int, ...]:
-    """The fundamental cycle Z_min's integer coefficients in vertex order,
-    the end of `fundamental_cycle(g)`, climbed without building that sequence.
-    An extension from `graph.extend_graph` is built knowing them, read off
-    its base graph's class table; only this cycle is seeded, never the
-    sequence `fundamental_cycle` reports, whose start and steps differ."""
-    start = [0] * len(g.ids)
-    start[0] = 1
-    _steps, end = _sequence(g, start, 1, None, _BOOTSTRAP_CAP)
+def _fundamental(diag, rows, targets) -> tuple[tuple[int, ...], int]:
+    """Z_min of the form with the given diagonal, `neighbours` rows and
+    adjunction targets, from its first vertex, and 2 chi(Z_min) off the final pairings."""
+    start = [1] + [0] * (len(rows) - 1)
+    _steps, end, level = _climb(diag, rows, start, 1, sparse_pairings(diag, rows, start), None,
+                                _BOOTSTRAP_CAP)
     if min(end) < 1:  # pragma: no cover - theory
         raise InternalError("fundamental cycle has a coefficient below one")
-    return tuple(end)
+    self_pairing = sum(x * p for x, p in zip(end, level))
+    return tuple(end), chi_from_self_pairing(targets, end, 1, self_pairing)
+
+
+@per_graph
+def _z_min(g: ResolutionGraph) -> tuple[tuple[int, ...], int]:
+    """Z_min's integer coefficients in vertex order (no sequence is built)
+    and 2 chi(Z_min); `graph.extend_graph` seeds both on an extension."""
+    return _fundamental(diagonal(g), neighbours(g), adjunction_targets(g))
+
+
+def z_min_numerators(g: ResolutionGraph) -> tuple[int, ...]:
+    """Z_min's integer coefficients in vertex order, from `_z_min`."""
+    return _z_min(g)[0]
+
+
+def z_min_chi_numerator(g: ResolutionGraph) -> int:
+    """2 chi(Z_min), from `_z_min`: no pairing pass."""
+    return _z_min(g)[1]
 
 
 def z_min_cycle(g: ResolutionGraph) -> RatCycle:
@@ -158,13 +174,13 @@ def _adjugate_column_sums(g: ResolutionGraph) -> tuple[int, ...]:
     return tuple(map(sum, adjugate(g)))  # adj(-M) is symmetric
 
 
-def _step_cap(g: ResolutionGraph, vec: list[int], scale: int) -> int:
-    """A proven bound on the steps of a climb from x = vec / scale: with
+def _step_cap(g: ResolutionGraph, levels: list[int], scale: int) -> int:
+    """A proven bound on the steps of a climb from x, read off its start
+    pairings times scale, `levels` (no pass of its own): with
     a_v = ceil(max(0, (x, E_v)) / det(-M)), y = x + sum a_v det(-M) E_v^* is
     anti-nef, at least x and in x's class, as det(-M) E_v^* is column v of
     adj(-M). The climb stays below y: at most sum a_v (column sum v) steps."""
     unit = scale * lattice_determinant(g)
-    levels = sparse_pairings(diagonal(g), neighbours(g), vec)
     return sum(-(-level // unit) * total
                for level, total in zip(levels, _adjugate_column_sums(g)) if level > 0)
 
@@ -186,25 +202,24 @@ def laufer_rational(g: ResolutionGraph) -> bool:
     chi(Z_min) = 1 + sum(1 - value), and every step's value is at least one.
     """
     require_negative_definite(g)
-    return g.is_tree and g.all_genus_zero and chi_numerator(g, z_min_numerators(g), 1) == 2
+    return g.is_tree and g.all_genus_zero and z_min_chi_numerator(g) == 2
 
 
 @per_graph
-def _minimal_cycles(g: ResolutionGraph) -> dict[tuple[int, ...], tuple[int, ...]]:
+def _minimal_cycles(g: ResolutionGraph) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
     """The graph's one table of minimal cycles: per class coordinates, the
-    numerators over det(-M) of the class's minimal anti-nef cycle under the
-    default policy. `minimal_numerators` fills it, one class at a time."""
+    `minimal_cycle` entry under the default policy, filled one class at a time."""
     return {}
 
 
-def minimal_numerators(g: ResolutionGraph, cg: ClassGroup, h: ClassElement,
-                       tie_break: Optional[TieBreak] = None, *,
-                       start: Optional[list[int]] = None) -> tuple[int, ...]:
-    """The numerators over det(-M) of the class's minimal anti-nef cycle,
-    in vertex order: the closure of its reduced representative, zero for the
-    zero class. Each other class climbs once per graph under the default
-    policy; a tie-break policy climbs afresh and leaves the table alone. A
-    caller holding `lattice.reduced_numerators(cg, h)` passes it as `start`."""
+def minimal_cycle(g: ResolutionGraph, cg: ClassGroup, h: ClassElement,
+                  tie_break: Optional[TieBreak] = None, *,
+                  start: Optional[list[int]] = None) -> tuple[tuple[int, ...], int]:
+    """The numerators over det(-M) of the class's minimal anti-nef cycle s
+    (the closure of its reduced representative, zero for the zero class) and
+    det(-M)^2 (s, s), off the climb's final pairings. Each other class climbs
+    once per graph by default; a tie-break policy climbs afresh and leaves
+    the table alone. A caller holding `lattice.reduced_numerators(cg, h)` passes it as `start`."""
     if cg.graph is not g and cg.graph != g:
         raise PreconditionError("the class group given is not the one of this graph")
     table = _minimal_cycles(g)
@@ -212,16 +227,23 @@ def minimal_numerators(g: ResolutionGraph, cg: ClassGroup, h: ClassElement,
         return table[h.coords]
     if h.is_zero:  # the zero cycle is anti-nef already
         cg.validate(h)
-        return (0,) * len(g.ids)
+        return (0,) * len(g.ids), 0
     if start is None:
         start = reduced_numerators(cg, h)
-    _steps, end = _sequence(g, start, cg.order, tie_break)
+    _steps, end, level = _sequence(g, start, cg.order, tie_break)
     if not any(end):  # pragma: no cover - cross-check
         raise InternalError("a nonzero class produced the zero cycle")
-    end = tuple(end)
+    entry = tuple(end), sum(x * p for x, p in zip(end, level))
     if tie_break is None:
-        table[h.coords] = end
-    return end
+        table[h.coords] = entry
+    return entry
+
+
+def minimal_numerators(g: ResolutionGraph, cg: ClassGroup, h: ClassElement,
+                       tie_break: Optional[TieBreak] = None, *,
+                       start: Optional[list[int]] = None) -> tuple[int, ...]:
+    """The numerators of the class's minimal anti-nef cycle, from `minimal_cycle`."""
+    return minimal_cycle(g, cg, h, tie_break, start=start)[0]
 
 
 def minimal_antinef_rep(g: ResolutionGraph, cg: ClassGroup, h: ClassElement,
@@ -240,7 +262,7 @@ def h1_rational(g: ResolutionGraph, chern: RatCycle,
         raise PreconditionError("the h1 sequence formula requires a rational graph")
     vec, scale = cycle_vector(g, chern)
     dual_coordinates(g, vec, scale, "Chern class")
-    steps, _end = _sequence(g, [-x for x in vec], scale, tie_break)
+    steps, _end, _level = _sequence(g, [-x for x in vec], scale, tie_break)
     return sum(value // scale - 1 for _, value in steps)
 
 
@@ -249,7 +271,7 @@ def _rational_part(g: ResolutionGraph, part: set[str]) -> bool:
     set of the negative-definite graph g, read off g's own rows, so no graph
     is built: the part is a tree when its edge multiplicities sum to
     2(|part| - 1), and then rational when its genera are zero and
-    2 chi(Z_min) = 2, Z_min climbed as in `z_min_numerators`."""
+    2 chi(Z_min) = 2, both from `_fundamental` as in `_z_min`."""
     positions = [i for i, vid in enumerate(g.ids) if vid in part]
     local = {i: k for k, i in enumerate(positions)}
     all_rows = neighbours(g)
@@ -260,10 +282,7 @@ def _rational_part(g: ResolutionGraph, part: set[str]) -> bool:
     if any(vertices[i].genus for i in positions):
         return False
     diag = [vertices[i].euler for i in positions]
-    start = [1] + [0] * (len(rows) - 1)
-    _steps, z_min = _climb(diag, rows, start, 1, None, _BOOTSTRAP_CAP)
-    targets = adjunction_targets(g)
-    return sparse_chi_numerator(diag, rows, [targets[i] for i in positions], z_min, 1) == 2
+    return _fundamental(diag, rows, [d + 2 for d in diag])[1] == 2  # genus zero: t = E^2 + 2
 
 
 def _minimal_non_rational_subgraph(g: ResolutionGraph) -> ResolutionGraph:
@@ -306,7 +325,7 @@ def minimally_elliptic_cycle(g: ResolutionGraph) -> RatCycle:
     if laufer_rational(g):
         raise PreconditionError("rational graphs have no minimally elliptic cycle")
     z_min = z_min_numerators(g)
-    if chi_numerator(g, z_min, 1):
+    if z_min_chi_numerator(g):
         raise PreconditionError("graph is not elliptic: chi of the fundamental cycle is nonzero")
     core = _minimal_non_rational_subgraph(g)
     det = lattice_determinant(core)
@@ -353,7 +372,7 @@ def classify_singularity(g: ResolutionGraph) -> SingularityType:
     gorenstein = not any(x % det for x in z_k)
     rational = laufer_rational(g)
     z_min = z_min_numerators(g)
-    elliptic = (not rational) and chi_numerator(g, z_min, 1) == 0
+    elliptic = (not rational) and z_min_chi_numerator(g) == 0
     cusp_shape = g.is_cycle_graph and g.all_genus_zero
 
     minimally_elliptic = False

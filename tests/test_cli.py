@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from singlat import blow_up, dsl, graph
+from singlat import blow_up, class_group, dsl, graph
 from singlat.cli import main
 from singlat.dsl import catalog_source
 from singlat.schema import validate
@@ -226,7 +226,8 @@ def test_box_env(capsys, monkeypatch):
 
 def test_box_below_one_is_input_error(capsys, monkeypatch):
     for argv in (("verify", "--catalog", "A1", "--box", "0"),
-                 ("check", "--catalog", "A1", "--verify", "--box", "-1")):
+                 ("check", "--catalog", "A1", "--verify", "--box", "-1"),
+                 ("sh", "--catalog", "A4", "--box", "-2")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == "error: box scale must be a positive integer\n"
@@ -262,6 +263,25 @@ def test_byte_identical_outputs(capsys):
     _, out1, _ = run(capsys, "classify", "--catalog", "paper-z7", "--format", "json")
     _, out2, _ = run(capsys, "classify", "--catalog", "paper-z7", "--format", "json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("name", ["paper-z7", "A9", "D9", "E8", "A40"])
+def test_special_pairs_each_cycle_once(name, capsys, monkeypatch):
+    """`special` on a fresh graph runs one pairing pass per cycle: the Z_min
+    climb, each nonzero class's climb, each extension's Z', each class-group
+    generator's check, and Z_min's pairings for the specialness test. Climbs
+    hand back their final pairings and dual cycles' classes come off U."""
+    from singlat import classify, laufer
+    g = dsl.catalog(name)
+    cg = class_group(g)
+    calls = []
+    pairings = graph.sparse_pairings
+    for module in (graph, laufer, classify):
+        monkeypatch.setattr(module, "sparse_pairings",
+                            lambda *args: calls.append(args) or pairings(*args))
+    code, _out, err = run(capsys, "special", "--catalog", name)
+    assert code == 0, err
+    assert len(calls) <= (cg.order - 1) + len(g.ids) + len(cg.factors) + 2, len(calls)
 
 
 def test_class_enumeration_budget(capsys, tmp_path):

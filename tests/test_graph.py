@@ -503,17 +503,17 @@ def test_derived_values_die_with_their_graph():
 
 
 def test_rationality_is_decided_once_per_graph(monkeypatch):
+    """chi(Z_min) is taken once per graph, off the Z_min climb's final
+    pairings, and no pass of `chi_numerator` recomputes it."""
     g = catalog("A16")
-    calls = []
-    original = laufer.chi_numerator
-
-    def counting_chi(graph, vec, scale):
-        calls.append(graph is g)
-        return original(graph, vec, scale)
-
-    monkeypatch.setattr(laufer, "chi_numerator", counting_chi)
+    kernel_calls, pass_calls = [], []
+    kernel, chi_pass = laufer.chi_from_self_pairing, laufer.chi_numerator
+    monkeypatch.setattr(laufer, "chi_from_self_pairing",
+                        lambda *args: kernel_calls.append(args) or kernel(*args))
+    monkeypatch.setattr(laufer, "chi_numerator",
+                        lambda *args: pass_calls.append(args) or chi_pass(*args))
     assert len(special_full_sheaves(g)) == 16
-    assert sum(calls) == 1
+    assert len(kernel_calls) == 1 and pass_calls == []
 
 
 def _imported_names(tree):

@@ -7,7 +7,7 @@ from singlat import (PreconditionError, RatCycle, ResolutionGraph, catalog, cata
                      in_lipman_cone, intersection_matrix, lattice_determinant, linalg,
                      reduced_rep)
 from singlat import classify, cli, graph as graph_module, lattice, laufer, oracle
-from singlat.graph import pairing_vector
+from singlat.graph import extend_graph, pairing_vector
 from singlat.laufer import minimal_antinef_rep
 
 from conftest import graph
@@ -235,3 +235,28 @@ def test_non_dual_cycle_messages(z7):
     with pytest.raises(PreconditionError) as exc:
         class_of(class_group(z7), RatCycle({"E2": Fraction(1, 2)}))
     assert str(exc.value) == "cycle is not in the dual lattice: pairing with E1 is 1/2"
+
+
+def test_tabled_pairings_and_dual_classes_match_a_fresh_pass(rational_corpus, negdef_corpus):
+    """What the pairing-free paths read matches a fresh pass: the
+    self-pairing tabled beside each minimal cycle, 2 chi(Z_min) kept beside
+    Z_min (climbed, or seeded on an extension), and the class `dual_class`
+    reads off U against `_class_of` on the adjugate column. Every reduced
+    representative maps back to its own class: `reduced_numerators` runs no
+    such check itself."""
+    named = [catalog(name) for name in catalog_names()]
+    graphs = [*rational_corpus, *negdef_corpus, *named]
+    for g in graphs:
+        cg = class_group(g)
+        det = cg.order
+        diag, rows = graph_module.diagonal(g), graph_module.neighbours(g)
+        for h in cg.elements():
+            end, self_pairing = laufer.minimal_cycle(g, cg, h)
+            pairings = graph_module.sparse_pairings(diag, rows, list(end))
+            assert self_pairing == sum(x * p for x, p in zip(end, pairings)), (g, h)
+            assert lattice._class_of(cg, lattice.reduced_numerators(cg, h), det) == h.coords
+        for position, column in enumerate(graph_module.adjugate(g)):
+            assert lattice.dual_class(cg, position).coords == lattice._class_of(cg, column, det)
+    for g in [*graphs, *(extend_graph(g, vid) for g in named for vid in g.ids)]:
+        z_min = laufer.z_min_numerators(g)
+        assert laufer.z_min_chi_numerator(g) == graph_module.chi_numerator(g, z_min, 1), g

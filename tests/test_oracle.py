@@ -453,10 +453,10 @@ def test_tie_break_climb_moved_fails_path_independence(z7, monkeypatch):
     sequence = laufer._sequence
 
     def moved(g, vec, scale, tie_break, cap=None):
-        steps, end = sequence(g, vec, scale, tie_break, cap)
+        steps, end, level = sequence(g, vec, scale, tie_break, cap)
         if tie_break is not None and scale == lattice_determinant(g) and any(vec):
             end = [end[0] + scale, *end[1:]]
-        return steps, end
+        return steps, end, level
 
     monkeypatch.setattr(laufer, "_sequence", moved)
     first = next(h for h in class_group(z7).elements() if not h.is_zero)
