@@ -40,12 +40,16 @@ class ClassElement(Record):
 class ClassGroup(Record):
     """The quotient of the dual lattice by the integral lattice."""
 
-    # `factors`: the invariant factors > 1, a divisibility chain;
-    # `generators`: one dual-lattice cycle per factor; `_u_rows`: the rows of
-    # U at the factors; `_numerators`: per generator, its coefficients times
-    # det(-M) (= `order`), in vertex order
-    __slots__ = ("graph", "order", "factors", "generators", "_u_rows", "_numerators")
+    # `factors`: the invariant factors > 1, a divisibility chain; `_u_rows`:
+    # the rows of U at the factors; `_numerators`: per factor, its generator's
+    # coefficients times det(-M) (= `order`), in vertex order
+    __slots__ = ("graph", "order", "factors", "_u_rows", "_numerators")
     _fields = ("graph", "order", "factors", "generators", "_u_rows")
+
+    @property
+    def generators(self) -> tuple[RatCycle, ...]:
+        """One dual-lattice cycle per factor, built from `_numerators` on read."""
+        return tuple(vector_cycle(self.graph, num, self.order) for num in self._numerators)
 
     def zero(self) -> ClassElement:
         return ClassElement((0,) * len(self.factors))
@@ -99,8 +103,7 @@ def class_group(g: ResolutionGraph) -> ClassGroup:
     positions = tuple(i for i, x in enumerate(d) if x != 1)
     factors = tuple(d[i] for i in positions)
     numerators = tuple(tuple(row[i] * (det // d[i]) for row in v) for i in positions)
-    generators = tuple(vector_cycle(g, num, det) for num in numerators)
-    cg = ClassGroup(g, det, factors, generators, tuple(tuple(u[i]) for i in positions), numerators)
+    cg = ClassGroup(g, det, factors, tuple(tuple(u[i]) for i in positions), numerators)
     for k, num in enumerate(numerators):
         expected = tuple(1 if j == k else 0 for j in range(len(factors)))
         if _class_of(cg, num, det) != expected:  # pragma: no cover - cross-check

@@ -117,11 +117,6 @@ def _run_sequence(g: ResolutionGraph, start: RatCycle, tie_break: Optional[TieBr
 _BOOTSTRAP_CAP = 1_000_000
 
 
-@per_graph
-def _fundamental_cycle_default(g: ResolutionGraph) -> ComputationSequence:
-    return _run_sequence(g, RatCycle.unit(g.ids[0]), None, _BOOTSTRAP_CAP)
-
-
 def _fundamental(diag, rows, targets) -> tuple[tuple[int, ...], int]:
     """Z_min of the form with the given diagonal, `neighbours` rows and
     adjunction targets, from its first vertex, and 2 chi(Z_min) off the final pairings."""
@@ -161,10 +156,10 @@ def fundamental_cycle(g: ResolutionGraph, start_vertex: str | None = None,
     """Minimal nonzero anti-nef integral cycle, as a computation sequence.
 
     The endpoint does not depend on the start vertex or on tie-breaking.
+    Each call climbs afresh; no command calls it, as Z_min comes from
+    `z_min_numerators`.
     """
     require_negative_definite(g)
-    if start_vertex is None and tie_break is None:
-        return _fundamental_cycle_default(g)
     start = RatCycle.unit(start_vertex if start_vertex is not None else g.ids[0])
     return _run_sequence(g, start, tie_break, _BOOTSTRAP_CAP)
 

@@ -1,8 +1,9 @@
 """Exact linear algebra for small dense matrices.
 
-One fraction-free (Bareiss) elimination, `eliminate`, answers every question
-about a square A: its pivots (the leading minors up to the first one that is
-not positive, det(A) last) and, in Gauss-Jordan form on [A | B], adj(A) B.
+One fraction-free Gauss-Jordan (Bareiss) elimination, `eliminate`, answers
+every question about a square A: its pivots (the leading minors up to the
+first one that is not positive, det(A) last) and, on [A | B], adj(A) B.
+`determinant`, `is_positive_definite`, `solve` and `invert` are views of it.
 The Smith normal form returns both unimodular transforms: the left one
 gives cokernel coordinates, the right one the cokernel's generators.
 """
@@ -24,53 +25,45 @@ def mat_mul(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
-def _bareiss(a, jordan=False):
-    """Fraction-free elimination (Bareiss, 1968) of the leading square block
-    of the integer rows ``a``, in place, yielding each step's pivot.
+def eliminate(rows, rhs_rows=None) -> tuple[list[int], list[list[int]]]:
+    """One fraction-free Gauss-Jordan elimination (Bareiss, 1968) of [A | B],
+    A square and integer: its pivots, and the integer block it leaves, which
+    is adj(A) B when det(A) != 0.
 
     Up to the first zero pivot, the k-th pivot is the k-th leading minor. A
     zero pivot is mended by swapping in a lower row and negating the other,
     which keeps the determinant, so the last pivot is det(A); a column with
-    no pivot yields 0 and ends the elimination. With ``jordan`` the rows
-    above each pivot are cleared too, leaving adj(A) times the extra columns.
+    no pivot gives 0 and ends the elimination.
     """
+    a = [list(r) + list(b) for r, b in zip(rows, rhs_rows or [()] * len(rows))]
     n = len(a)
-    prev = 1
+    pivots, prev = [], 1
     for k in range(n):
-        yield a[k][k]
+        pivots.append(a[k][k])
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
-                return
+                break
             a[k], a[swap] = a[swap], [-x for x in a[k]]
         p, pivot_row = a[k][k], a[k][k:]
-        for i in range(n) if jordan else range(k + 1, n):
+        for i in range(n):
             if i != k:
                 f = a[i][k]
                 a[i][k:] = [(p * x - f * y) // prev for x, y in zip(a[i][k:], pivot_row)]
         prev = p
+    return pivots, [row[n:] for row in a]
 
 
 def determinant(rows) -> int:
     """Exact determinant of a square integer matrix."""
-    a = [list(r) for r in rows]
-    if any(len(r) != len(a) for r in a):
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix is not square")
-    return [1, *_bareiss(a)][-1]  # the last pivot; 1 for the empty matrix
+    return [1, *eliminate(rows)[0]][-1]  # the last pivot; 1 for the empty matrix
 
 
 def is_positive_definite(rows) -> bool:
-    """True iff every leading principal minor of the integer matrix is > 0:
-    one elimination, stopped at the first pivot that is not positive."""
-    return all(pivot > 0 for pivot in _bareiss([list(r) for r in rows]))
-
-
-def eliminate(rows, rhs_rows=None) -> tuple[list[int], list[list[int]]]:
-    """The pivots of one Gauss-Jordan Bareiss run on [A | B], A square and
-    integer, and the integer block it leaves: adj(A) B when det(A) != 0."""
-    a = [list(r) + list(b) for r, b in zip(rows, rhs_rows or [()] * len(rows))]
-    pivots = list(_bareiss(a, jordan=True))
-    return pivots, [row[len(a):] for row in a]
+    """True iff every leading principal minor of the integer matrix is > 0."""
+    return all(pivot > 0 for pivot in eliminate(rows)[0])
 
 
 def _solve_block(rows, rhs_rows) -> list[list[Fraction]]:
@@ -165,8 +158,7 @@ def smith_normal_form(rows):
                     col_add(j, t, -q)
                     if r:
                         reduced = False
-            if reduced and all(a[i][t] == 0 for i in range(t + 1, n)) \
-                    and all(a[t][j] == 0 for j in range(t + 1, m)):
+            if reduced:  # every remainder was zero: row and column t are clear
                 # force the divisibility chain before moving on
                 culprit = None
                 for i in range(t + 1, n):

@@ -366,7 +366,7 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
             expected = cg.factors[k]
             if cg.element_order(class_of(cg, gen)) != expected:
                 raise InternalError(f"generator {k} has wrong order")
-        return f"{len(cg.generators)} generator orders match"
+        return f"{len(cg.factors)} generator orders match"
 
     def check_homomorphism():
         rng = random.Random(VERIFY_SEED + 1)

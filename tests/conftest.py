@@ -85,10 +85,11 @@ def negdef_corpus():
 
 
 def count_eliminations(monkeypatch, runs):
-    """Record the square block of every Bareiss elimination, by any route."""
-    bareiss = linalg._bareiss
-    monkeypatch.setattr(linalg, "_bareiss", lambda a, jordan=False: (
-        runs.append([list(row[:len(a)]) for row in a]) or bareiss(a, jordan)))
+    """Record the square block of every Bareiss elimination, by any route:
+    every one passes through `linalg.eliminate`."""
+    eliminate = linalg.eliminate
+    monkeypatch.setattr(linalg, "eliminate", lambda rows, rhs_rows=None: (
+        runs.append([list(row) for row in rows]) or eliminate(rows, rhs_rows)))
 
 
 def tie_break_policies(count=10, seed=CORPUS_SEED + 2):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from singlat import blow_up, class_group, dsl, graph
+from singlat import blow_up, class_group, dsl, graph, laufer
 from singlat.cli import main
 from singlat.dsl import catalog_source
 from singlat.schema import validate
@@ -126,6 +126,37 @@ def test_extend(capsys):
     code, doc, _ = run_json(capsys, "extend", "--catalog", "paper-z7",
                             "--vertex", "E1")
     assert doc["extension_rational"] is True
+
+
+def fibonacci_chain(n):
+    """A1 blown up at v1, then at the edge between the two newest curves
+    until n vertices: a chain of (-3)-curves whose Z' grows as Fibonacci
+    numbers, so the Euler number `extend` finds at its end is about -F_2n."""
+    g = blow_up(dsl.catalog("A1"), "v1")[0]
+    while len(g.ids) < n:
+        g = blow_up(g, g.ids[-2:])[0]  # each new curve comes last
+    return g
+
+
+def test_extend_reads_the_seeded_z_min_on_a_fibonacci_chain(capsys, tmp_path, monkeypatch):
+    """`extend_graph` seeds the extension's Z_min from Z'. Climbed cold,
+    Z_min of this extension would need more steps than the bootstrap cap."""
+    g = fibonacci_chain(24)
+    assert g.ids[-1] == "new23"
+    path = tmp_path / "fib24.graph"
+    path.write_text(dsl.serialize(dsl.GraphDocument(None, g.vertices, g.edges)))
+    code, doc, err = run_json(capsys, "extend", str(path), "--vertex", "new23")
+    assert code == 0, err
+    assert doc["new_vertex_multiplicity"] == "1" and doc["extension_rational"] is False
+    ext = graph.extend_graph(g, "new23")
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a climb on the seeded extension")
+
+    monkeypatch.setattr(laufer, "_climb", forbidden)
+    z_min = laufer.z_min_numerators(ext)
+    assert z_min[-1] == 1 and sum(z_min) > laufer._BOOTSTRAP_CAP
+    assert laufer.laufer_rational(ext) is False
 
 
 def test_blowup_vertex(capsys):

@@ -31,6 +31,23 @@ def test_class_group_z7(z7):
     assert len(list(cg.elements())) == 7
 
 
+def test_class_group_builds_no_rational_cycle(monkeypatch):
+    """`class_group` keeps each generator as numerators over det(-M); the
+    public `generators` are built from them only when read."""
+    graphs = [catalog(name) for name in ("paper-z7", "E8", "D7", "A40")]
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a RatCycle built by class_group")
+
+    monkeypatch.setattr(RatCycle, "__init__", forbidden)
+    groups = [class_group(g) for g in graphs]
+    monkeypatch.undo()
+    for g, cg in zip(graphs, groups):
+        assert len(cg.generators) == len(cg.factors) == len(cg._numerators)
+        assert cg.generators == tuple(graph_module.vector_cycle(g, num, cg.order)
+                                      for num in cg._numerators), g
+
+
 def test_class_group_trivial():
     cg = class_group(catalog("gamma-2-3-7"))
     assert cg.order == 1

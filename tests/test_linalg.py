@@ -8,6 +8,14 @@ from singlat.linalg import (determinant, eliminate, identity, invert, is_positiv
                             mat_mul, smith_normal_form, solve)
 
 
+def cofactor_determinant(a):
+    """Reference: Laplace expansion along the first row; no elimination."""
+    if not a:
+        return 1
+    return sum((-1) ** j * x * cofactor_determinant([row[:j] + row[j + 1:] for row in a[1:]])
+               for j, x in enumerate(a[0]) if x)
+
+
 def test_determinant_known():
     assert determinant([[2]]) == 2
     assert determinant([[2, -1], [-1, 2]]) == 3
@@ -83,8 +91,8 @@ def test_smith_normal_form_properties(a):
         else:
             assert d[i + 1] == 0
     # u and v unimodular
-    assert determinant(u) in (1, -1)
-    assert determinant(v) in (1, -1)
+    assert cofactor_determinant(u) in (1, -1)
+    assert cofactor_determinant(v) in (1, -1)
 
 
 @given(square_matrices)
@@ -93,14 +101,14 @@ def test_smith_preserves_determinant(a):
     product = 1
     for x in d:
         product *= x
-    assert product == abs(determinant(a))
+    assert product == abs(cofactor_determinant(a))
 
 
 @given(square_matrices)
 def test_smith_right_columns_are_factor_multiples_of_left_inverse_columns(a):
     # from u a v = diag(d): a v e_i = d_i u^-1 e_i, which is how the class
     # group reads its generators off v alone
-    if determinant(a) == 0:
+    if cofactor_determinant(a) == 0:
         return
     d, u, v = smith_normal_form(a)
     uinv = invert(u)
@@ -111,8 +119,19 @@ def test_smith_right_columns_are_factor_multiples_of_left_inverse_columns(a):
 
 
 def leading_minors_positive(a):
-    """Reference: every leading principal minor, each by its own determinant."""
-    return all(determinant([row[:k] for row in a[:k]]) > 0 for k in range(1, len(a) + 1))
+    """Reference: every leading principal minor, each by cofactor expansion."""
+    return all(cofactor_determinant([row[:k] for row in a[:k]]) > 0
+               for k in range(1, len(a) + 1))
+
+
+@given(square_matrices)
+@example([[0, 1], [1, 0]])  # a zero pivot, mended by a swap
+@example([[0, 0], [0, 1]])  # a column with no pivot
+@example([[1, 2], [2, 4]])  # the last pivot vanishes
+@example([[0, 2, 1], [3, 0, 0], [0, 1, 0]])
+@example([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
+def test_determinant_matches_cofactor_expansion(a):
+    assert determinant(a) == cofactor_determinant(a)
 
 
 @given(square_matrices)
@@ -130,7 +149,7 @@ def test_positive_definite_symmetric(a):
 def test_invert_and_solve(a, b):
     n = len(a)
     b = b[:n]
-    if determinant(a) == 0:
+    if cofactor_determinant(a) == 0:
         with pytest.raises(ValueError):
             invert(a)
         with pytest.raises(ValueError):
@@ -152,7 +171,7 @@ def test_eliminate_matches_invert_and_solve(a, b):
     b = b[:n]
     pivots, adj = eliminate(a, identity(n))
     assert eliminate(a)[0] == pivots
-    assert pivots[-1] == determinant(a)
+    assert pivots[-1] == cofactor_determinant(a) == determinant(a)
     assert all(p > 0 for p in pivots) == leading_minors_positive(a) == is_positive_definite(a)
     det = pivots[-1]
     if det == 0:
