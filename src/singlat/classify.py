@@ -12,13 +12,12 @@ recorded symbolically and never computed.
 
 from __future__ import annotations
 
-from .cycles import RatCycle
 from .errors import InternalError, PreconditionError
 from .graph import (ResolutionGraph, adjugate, adjunction_targets, chi_from_self_pairing, diagonal,
-                    extend_graph, neighbours, sparse_pairings, vector_cycle)
+                    extend_graph, neighbours, sparse_pairings)
 from .lattice import ClassElement, ClassGroup, class_group, dual_class
-from .laufer import (SingularityType, classify_singularity, laufer_rational, minimal_antinef_rep,
-                     minimal_cycle, minimal_numerators, z_min_cycle, z_min_numerators)
+from .laufer import (SingularityType, classify_singularity, laufer_rational, minimal_cycle,
+                     minimal_numerators, z_min_numerators)
 from .record import Record
 
 FLAT_ALL = "all"
@@ -28,19 +27,21 @@ FLAT_UNKNOWN = "unknown"
 
 
 class FullSheafFamily(Record):
-    # `chern_class` is the negated first Chern class, an anti-nef cycle
+    # `chern_class` is the negated first Chern class, an anti-nef cycle, as
+    # integer numerators over det(-M) (the report's `class_order`) in vertex order
     __slots__ = ("class_coords", "chern_class", "family_dim", "exceptions", "special", "flat_count")
     _defaults = {"exceptions": (), "special": None, "flat_count": FLAT_UNKNOWN}
 
 
 class SpecialnessRecord(Record):
-    # `pairing_with_fundamental` is (-min_rep, Z_min); `witness_vertex` is the
-    # vertex whose dual cycle equals min_rep with multiplicity one
+    # `min_rep` is over det(-M), as `chern_class`; `pairing_with_fundamental` is
+    # (-min_rep, Z_min); `witness_vertex`'s dual cycle is min_rep, with multiplicity one
     __slots__ = ("class_coords", "min_rep", "pairing_with_fundamental", "witness_vertex",
                  "h1_value", "special")
 
 
 class VertexRecord(Record):
+    # `dual` (column v of adj(-M)) and its class's `min_rep` are over det(-M)
     __slots__ = ("vertex", "multiplicity", "dual", "class_coords", "min_rep", "dual_is_min_rep",
                  "special", "extended_rational")
 
@@ -114,21 +115,17 @@ def special_full_sheaves(g: ResolutionGraph) -> tuple[SpecialnessRecord, ...]:
             raise InternalError(
                 f"specialness tests disagree for class {h.coords}: pairing={value}, "
                 f"witness={witness!r}, h1={h1}")
-        records.append(SpecialnessRecord(h.coords, vector_cycle(g, end, det), value, witness, h1,
-                                         verdicts[0]))
+        records.append(SpecialnessRecord(h.coords, end, value, witness, h1, verdicts[0]))
     return tuple(records)
 
 
 def _dual_classes(g: ResolutionGraph, cg: ClassGroup):
-    """Per vertex: its id, its dual cycle, the dual's class (read off U), and
-    whether the dual is the class's minimal cycle, with that minimal cycle."""
-    det = cg.order
+    """Per vertex: its id, its dual (column v of adj(-M)), the dual's class
+    (read off U), whether the dual is its class's minimal cycle, and that cycle."""
     for position, (vid, column) in enumerate(zip(g.ids, adjugate(g))):
-        dual = vector_cycle(g, column, det)
         h = dual_class(cg, position)
         end = minimal_numerators(g, cg, h)
-        dual_is_min = end == column
-        yield vid, dual, h, dual_is_min, dual if dual_is_min else vector_cycle(g, end, det)
+        yield vid, column, h, end == column, end
 
 
 def wunram_table(g: ResolutionGraph) -> tuple[VertexRecord, ...]:
@@ -179,7 +176,7 @@ def full_sheaf_classes_rational(g: ResolutionGraph) -> ClassificationReport:
     families = []
     for h in cg.elements():
         if h.is_zero:
-            families.append(FullSheafFamily(h.coords, RatCycle.zero(), 0,
+            families.append(FullSheafFamily(h.coords, (0,) * len(g.ids), 0,
                                             special=True, flat_count=FLAT_ALL))
         else:
             rec = specials[h.coords]
@@ -214,13 +211,13 @@ def full_sheaf_classes_min_elliptic(g: ResolutionGraph) -> ClassificationReport:
     for h in cg.elements():
         if h.is_zero:
             continue
-        families.append(FullSheafFamily(h.coords, minimal_antinef_rep(g, cg, h), 1))
+        families.append(FullSheafFamily(h.coords, minimal_numerators(g, cg, h), 1))
     zero = cg.zero()
     families.append(FullSheafFamily(
-        zero.coords, z_min_cycle(g), 1,
+        zero.coords, tuple(cg.order * z for z in z_min_numerators(g)), 1,
         exceptions=("one analytically distinguished bundle with this Chern class "
                     "is excluded; which one is not a lattice question",)))
-    families.append(FullSheafFamily(zero.coords, RatCycle.zero(), 0))
+    families.append(FullSheafFamily(zero.coords, (0,) * len(g.ids), 0))
     inclusion_only = not g.all_genus_zero
     notes = _flag_notes(g, st)
     if inclusion_only:
@@ -245,13 +242,14 @@ def flat_annotation(g: ResolutionGraph, report: ClassificationReport) -> Classif
     """
     st = report.singularity
     # read only by the minimally elliptic tree branch
-    z_min = z_min_cycle(g) if st.minimally_elliptic and st.tree_all_genus_zero else None
+    z_min = (tuple(report.class_order * z for z in z_min_numerators(g))
+             if st.minimally_elliptic and st.tree_all_genus_zero else None)
 
     def flat_count(fam: FullSheafFamily) -> str:
         if st.rational or st.cusp:
             return FLAT_ALL
         if st.minimally_elliptic and st.tree_all_genus_zero:
-            if not fam.chern_class:
+            if not any(fam.chern_class):
                 return FLAT_ALL
             if fam.chern_class == z_min and not any(fam.class_coords):
                 return FLAT_ZERO_KNOWN

@@ -17,7 +17,7 @@ from .classify import (flat_annotation, full_sheaf_classes_min_elliptic,
                        full_sheaf_classes_rational, special_full_sheaves, wunram_table)
 from .errors import InputError, InternalError, PreconditionError, SinglatError
 from .graph import (ResolutionGraph, _negative_definite, adjugate, blow_up, canonical_numerators,
-                    cycle_vector, extend_graph, transform_numerators)
+                    extend_graph, transform_numerators)
 from .lattice import ClassElement, _class_of, class_group, reduced_numerators
 from .laufer import classify_singularity, laufer_rational, minimal_numerators, z_min_numerators
 
@@ -52,7 +52,7 @@ def _load_graph(args) -> ResolutionGraph:
         try:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {args.input!r}: {exc}") from None
     return dsl.parse(text).graph()
 
@@ -203,7 +203,7 @@ def cmd_classify(args) -> int:
             out.append("inclusion-only: the family list is an upper bound")
         for fam in report.families:
             desc = [f"h={fam.class_coords}",
-                    f"-c1 = {format_cycle(g, *cycle_vector(g, fam.chern_class))}",
+                    f"-c1 = {format_cycle(g, fam.chern_class, report.class_order)}",
                     f"dim {fam.family_dim}",
                     f"flat: {fam.flat_count}"]
             if fam.special is not None:

@@ -3,11 +3,12 @@
 Integers are serialised as strings so consumers never face 64-bit overflow;
 rationals are {"num", "den"} string pairs with positive denominator; cycle
 coefficients are arrays ordered like the graph's vertex list. Cycles come
-as integer numerators over a scale, the program's one cycle format, and
-`encode_numerators` turns them into one leaf, a `Numerators` tuple of the
-numerators and the scale, with no dict per rational; a `RatCycle`, met
-only in records and public arguments, goes through `cycle_vector` once, in
-`encode_cycle`. Every top-level document carries the schema version.
+as integer numerators over a scale, the program's one cycle format (over
+det(-M) in the classification records), and `encode_numerators` turns
+them into one leaf, a `Numerators` tuple of the numerators and the scale,
+with no dict per rational; a `RatCycle`, met only in public arguments,
+goes through `cycle_vector` once, in `encode_cycle`. Every top-level
+document carries the schema version.
 `dumps` is the one writer. It writes a document in the `indent=2` form of
 the standard library by itself, as that form sends `json.dumps` to its
 pure-Python encoder, and renders each leaf by template as the array of
@@ -25,7 +26,7 @@ from .classify import ClassificationReport, FullSheafFamily, SpecialnessRecord, 
 from .cycles import RatCycle
 from .dsl import GraphDocument
 from .errors import InputError
-from .graph import ResolutionGraph, cycle_vector
+from .graph import ResolutionGraph, cycle_vector, lattice_determinant
 from .lattice import ClassGroup
 from .laufer import ComputationSequence, SingularityType
 from .oracle import VerificationTranscript
@@ -103,7 +104,7 @@ def encode_sequence(g: ResolutionGraph, seq: ComputationSequence) -> dict:
 def encode_family(g: ResolutionGraph, fam: FullSheafFamily) -> dict:
     return {
         "class": [str(c) for c in fam.class_coords],
-        "chern_class_negated": encode_cycle(g, fam.chern_class),
+        "chern_class_negated": encode_numerators(fam.chern_class, lattice_determinant(g)),
         "family_dim": str(fam.family_dim),
         "exceptions": list(fam.exceptions),
         "special": fam.special,
@@ -112,12 +113,13 @@ def encode_family(g: ResolutionGraph, fam: FullSheafFamily) -> dict:
 
 
 def encode_vertex_record(g: ResolutionGraph, rec: VertexRecord) -> dict:
+    det = lattice_determinant(g)
     return {
         "vertex": rec.vertex,
         "multiplicity": str(rec.multiplicity),
-        "dual_cycle": encode_cycle(g, rec.dual),
+        "dual_cycle": encode_numerators(rec.dual, det),
         "class": [str(c) for c in rec.class_coords],
-        "min_rep": None if rec.min_rep is None else encode_cycle(g, rec.min_rep),
+        "min_rep": None if rec.min_rep is None else encode_numerators(rec.min_rep, det),
         "dual_is_min_rep": rec.dual_is_min_rep,
         "special": rec.special,
         "extended_rational": rec.extended_rational,
@@ -127,7 +129,7 @@ def encode_vertex_record(g: ResolutionGraph, rec: VertexRecord) -> dict:
 def encode_specialness(g: ResolutionGraph, rec: SpecialnessRecord) -> dict:
     return {
         "class": [str(c) for c in rec.class_coords],
-        "min_rep": encode_cycle(g, rec.min_rep),
+        "min_rep": encode_numerators(rec.min_rep, lattice_determinant(g)),
         "pairing_with_fundamental": str(rec.pairing_with_fundamental),
         "witness_vertex": rec.witness_vertex,
         "h1": str(rec.h1_value),

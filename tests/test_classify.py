@@ -11,6 +11,7 @@ from singlat import (PreconditionError, RatCycle, blow_up, catalog, class_group,
 from singlat.classify import FLAT_ALL, FLAT_EXACTLY_ONE, FLAT_UNKNOWN, FLAT_ZERO_KNOWN
 from singlat.cli import main
 from singlat.dsl import GraphDocument, serialize
+from singlat.graph import vector_cycle
 from singlat.lattice import reduced_numerators
 
 from conftest import graph
@@ -26,7 +27,7 @@ def z7():
 def test_rational_families_a1():
     g = graph([("v", -2)])
     report = full_sheaf_classes_rational(g)
-    cherns = {fam.chern_class for fam in report.families}
+    cherns = {vector_cycle(g, fam.chern_class, report.class_order) for fam in report.families}
     assert cherns == {RatCycle.zero(), RatCycle({"v": Fraction(1, 2)})}
     assert all(fam.family_dim == 0 for fam in report.families)
     assert all(fam.flat_count == FLAT_ALL for fam in report.families)
@@ -36,7 +37,7 @@ def test_rational_families_a1():
 def test_rational_families_z7(z7):
     report = full_sheaf_classes_rational(z7)
     assert len(report.families) == 7
-    cherns = {fam.chern_class for fam in report.families}
+    cherns = {vector_cycle(z7, fam.chern_class, 7) for fam in report.families}
     duals = dual_basis(z7)
     assert duals["E1"] in cherns
     assert duals["E3"] in cherns
@@ -46,9 +47,10 @@ def test_rational_families_z7(z7):
 
 
 def test_rational_families_e8():
-    report = full_sheaf_classes_rational(catalog("E8"))
+    g = catalog("E8")
+    report = full_sheaf_classes_rational(g)
     assert len(report.families) == 1
-    assert report.families[0].chern_class == RatCycle.zero()
+    assert vector_cycle(g, report.families[0].chern_class, 1) == RatCycle.zero()
     assert report.families[0].special is True
 
 
@@ -84,9 +86,10 @@ def test_special_agreement_corpus(rational_corpus):
     # raising is the failure mode; the h1 read from the class table must
     # also match the sequence sum, as an int
     for g in rational_corpus[:25]:
+        det = class_group(g).order
         for rec in special_full_sheaves(g):
             assert type(rec.h1_value) is int
-            assert rec.h1_value == h1_rational(g, rec.min_rep), (g, rec)
+            assert rec.h1_value == h1_rational(g, vector_cycle(g, rec.min_rep, det)), (g, rec)
 
 
 def test_special_climbs_once_per_class(monkeypatch):
@@ -127,7 +130,7 @@ def test_wunram_z7(z7):
     assert table["E1"].extended_rational
     assert table["E2"].multiplicity == 2
     assert not table["E2"].dual_is_min_rep
-    assert table["E2"].min_rep == dual_basis(z7)["E4"]
+    assert vector_cycle(z7, table["E2"].min_rep, 7) == dual_basis(z7)["E4"]
     assert not table["E2"].extended_rational
     assert table["E3"].multiplicity == 2 and not table["E3"].special
     assert table["E4"].multiplicity == 1 and table["E4"].special
@@ -158,8 +161,9 @@ def test_min_elliptic_gamma():
     report = flat_annotation(g, full_sheaf_classes_min_elliptic(g))
     assert len(report.families) == 2
     z_min = fundamental_cycle(g).end
-    main = next(f for f in report.families if f.chern_class == z_min)
-    trivial = next(f for f in report.families if not f.chern_class)
+    cherns = [vector_cycle(g, f.chern_class, report.class_order) for f in report.families]
+    main = next(f for f, c in zip(report.families, cherns) if c == z_min)
+    trivial = next(f for f, c in zip(report.families, cherns) if not c)
     assert main.family_dim == 1 and main.exceptions
     assert main.flat_count == FLAT_ZERO_KNOWN
     assert trivial.flat_count == FLAT_ALL
@@ -193,7 +197,7 @@ def test_flat_annotation_builds_z_min_only_for_minimally_elliptic_trees(monkeypa
     def forbidden(g):
         raise AssertionError("flat_annotation built an unread Z_min")
 
-    monkeypatch.setattr(classify, "z_min_cycle", forbidden)
+    monkeypatch.setattr(classify, "z_min_numerators", forbidden)
     for name, report in reports.items():
         annotated = flat_annotation(catalog(name), report)
         assert all(f.flat_count == FLAT_ALL for f in annotated.families)
@@ -226,8 +230,8 @@ def test_flat_annotation_qhs_families():
     assert len(nonzero) == 1
     assert all(f.flat_count == FLAT_EXACTLY_ONE for f in nonzero)
     z_min = fundamental_cycle(g).end
-    zero_main = next(f for f in report.families
-                     if not any(f.class_coords) and f.chern_class == z_min)
+    zero_main = next(f for f in report.families if not any(f.class_coords)
+                     and vector_cycle(g, f.chern_class, report.class_order) == z_min)
     assert zero_main.flat_count == FLAT_ZERO_KNOWN
 
 

@@ -229,6 +229,15 @@ def test_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_undecodable_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"vertex v1 euler=-2\xff")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_parse_error_exit(capsys, tmp_path):
     path = tmp_path / "bad.graph"
     path.write_text("vertex v euler=-2\nedge v v\n")
@@ -479,12 +488,9 @@ def test_sh_derives_each_reduced_representative_once(capsys, monkeypatch):
         assert len(calls) == len(set(calls)) == order
 
 
-@pytest.mark.parametrize("command", [("sh",), ("blowup", "--vertex", "v1"),
-                                     ("extend", "--vertex", "v1"), ("invariants",)],
-                         ids=lambda command: command[0])
-def test_sh_builds_no_cycle_per_class(capsys, monkeypatch, command):
-    # rows and cycles stay numerators: A9 has twice the classes and more
-    # than twice the vertices of A4, and builds as many `RatCycle`s
+@pytest.fixture
+def cycle_inits(monkeypatch):
+    """A list that gains one entry per `RatCycle` built while the test runs."""
     from singlat import RatCycle
     calls = []
     init = RatCycle.__init__
@@ -494,14 +500,36 @@ def test_sh_builds_no_cycle_per_class(capsys, monkeypatch, command):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(RatCycle, "__init__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", [("sh",), ("blowup", "--vertex", "v1"),
+                                     ("extend", "--vertex", "v1"), ("invariants",),
+                                     ("classify",), ("special",)],
+                         ids=lambda command: command[0])
+def test_sh_builds_no_cycle_per_class(capsys, cycle_inits, command):
+    # rows and cycles stay numerators: A9 has twice the classes and more
+    # than twice the vertices of A4, and builds as many `RatCycle`s
     counts = []
     for name, order in (("A4", 5), ("A9", 10)):
-        calls.clear()
+        cycle_inits.clear()
         code, doc, _ = run_json(capsys, *command, "--catalog", name)
-        table = doc.get("rows", doc.get("transform_table"))
+        if "classes" in doc:  # `special`: rows per vertex, one entry per nonzero class
+            table, order = doc["classes"], order - 1
+        else:
+            table = doc.get("rows", doc.get("transform_table", doc.get("families")))
         assert code == 0 and (table is None or len(table) == order)
-        counts.append(len(calls))
+        counts.append(len(cycle_inits))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("name", ["gamma-2-3-7", "cusp-3x3"])
+def test_classify_builds_only_the_elliptic_cycle(capsys, cycle_inits, name):
+    # families and the vertex table stay numerators; the one `RatCycle` is
+    # the elliptic cycle that `classify_singularity` reads its support off
+    code, doc, _ = run_json(capsys, "classify", "--catalog", name)
+    assert code == 0 and doc["singularity"]["minimally_elliptic"]
+    assert len(cycle_inits) == 1
 
 
 GOLDEN_GRAPHS = ("A1", "A4", "D6", "E6", "E8", "paper-z7", "gamma-2-3-7", "cusp-3x3",
