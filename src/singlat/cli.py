@@ -1,5 +1,13 @@
 """Command-line front end. Results go to stdout, diagnostics to stderr.
 
+`main` runs every command through one pipeline: it refuses a bad `--box`,
+loads the graph (every command but `catalog`), calls the command, runs
+`oracle.verify_all` on the graph the command names if `--verify` was given,
+then writes the JSON document or the text that `--format` asks for. A
+command `cmd_*(args, g)` only computes: it returns its document type, its
+`payload` and `lines` functions (only the one `--format` asks for is
+called), the graph `--verify` audits (None for none) and its exit code.
+
 Exit codes: 0 success, 1 user or input error, 2 precondition unmet,
 3 internal consistency failure.
 """
@@ -67,31 +75,9 @@ def _box_scale(args) -> int:
     return 3 if scale is None else scale
 
 
-def _emit(args, doc_type: str, payload, lines) -> None:
-    """Write the JSON document or the text, whichever `--format` asks for.
-    Both come as functions, `payload` of the document's fields and `lines`
-    of the text's lines, and only the one asked for is called."""
-    if args.format == "json":
-        sys.stdout.write(jsonio.dumps(jsonio.document(doc_type, payload())))
-    else:
-        text = "\n".join(lines())
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _maybe_verify(args, g: ResolutionGraph) -> None:
-    if getattr(args, "run_verify", False):
-        transcript = oracle.verify_all(g, scale=_box_scale(args))
-        if not transcript.passed:
-            sys.stderr.write(transcript.to_text() + "\n")
-            raise InternalError("oracle cross-checks failed")
-
-
-def cmd_check(args) -> int:
-    g = _load_graph(args)
+def cmd_check(args, g):
     negdef = _negative_definite(g)
     st = classify_singularity(g) if negdef else None
-    if negdef:
-        _maybe_verify(args, g)
 
     def payload():
         doc = {"well_formed": True, "negative_definite": negdef}
@@ -108,19 +94,16 @@ def cmd_check(args) -> int:
             out += [f"note: {w}" for w in st.warnings]
         return out
 
-    _emit(args, "check", payload, lines)
-    return 0
+    return "check", payload, lines, g if negdef else None, 0
 
 
-def cmd_invariants(args) -> int:
-    g = _load_graph(args)
+def cmd_invariants(args, g):
     cg = class_group(g)
     z_min, z_k = z_min_numerators(g), canonical_numerators(g)
     chi_min = Fraction(laufer.z_min_chi_numerator(g), 2)
     # column v of adj(-M) over det(-M) is the dual cycle E_v^*
     duals, det = tuple(zip(g.ids, adjugate(g))), cg.order
     integral = not any(x % det for x in z_k)
-    _maybe_verify(args, g)
 
     def payload():
         return {
@@ -147,12 +130,10 @@ def cmd_invariants(args) -> int:
             "dual cycles:",
         ] + [f"  {vid}*: {format_cycle(g, col, det)}" for vid, col in duals]
 
-    _emit(args, "invariants", payload, lines)
-    return 0
+    return "invariants", payload, lines, g, 0
 
 
-def cmd_sh(args) -> int:
-    g = _load_graph(args)
+def cmd_sh(args, g):
     cg = class_group(g)
     det = cg.order
     rows = []
@@ -161,7 +142,6 @@ def cmd_sh(args) -> int:
         end = minimal_numerators(g, cg, h, start=start)
         # each step of the climb from start to end adds det(-M) to one numerator
         rows.append((h, start, end, (sum(end) - sum(start)) // det))
-    _maybe_verify(args, g)
 
     def payload():
         return {"graph": jsonio.encode_graph(g), "rows": [{
@@ -176,12 +156,10 @@ def cmd_sh(args) -> int:
             f"h={h.coords}: r = {format_cycle(g, rep, det)}; s = {format_cycle(g, end, det)}; "
             f"steps = {steps}" for h, rep, end, steps in rows]
 
-    _emit(args, "sh-table", payload, lines)
-    return 0
+    return "sh-table", payload, lines, g, 0
 
 
-def cmd_classify(args) -> int:
-    g = _load_graph(args)
+def cmd_classify(args, g):
     st = classify_singularity(g)
     if st.rational:
         report = full_sheaf_classes_rational(g)
@@ -193,7 +171,6 @@ def cmd_classify(args) -> int:
             f"graph is neither rational nor minimally elliptic (classified as {st.kind}; "
             f"chi of the fundamental cycle is {chi_min})")
     report = flat_annotation(g, report)
-    _maybe_verify(args, g)
 
     def lines():
         out = [f"type: {report.singularity.kind}",
@@ -213,15 +190,12 @@ def cmd_classify(args) -> int:
             out.append("  " + " | ".join(desc))
         return out + [f"note: {note}" for note in report.notes]
 
-    _emit(args, "classification", lambda: jsonio.encode_report(report), lines)
-    return 0
+    return "classification", lambda: jsonio.encode_report(report), lines, g, 0
 
 
-def cmd_special(args) -> int:
-    g = _load_graph(args)
+def cmd_special(args, g):
     records = special_full_sheaves(g)
     table = wunram_table(g)
-    _maybe_verify(args, g)
 
     def payload():
         return {
@@ -236,18 +210,15 @@ def cmd_special(args) -> int:
             f"{rec.extended_rational} | {rec.special}" for rec in table] + [
             f"special nonzero classes: {[r.class_coords for r in records if r.special]}"]
 
-    _emit(args, "special-table", payload, lines)
-    return 0
+    return "special-table", payload, lines, g, 0
 
 
-def cmd_extend(args) -> int:
-    g = _load_graph(args)
+def cmd_extend(args, g):
     ext = extend_graph(g, args.vertex, args.euler)
     new_id = ext.ids[-1]
     text_doc = dsl.serialize(dsl.GraphDocument(None, ext.vertices, ext.edges))
     mult = z_min_numerators(ext)[-1]
     rational = laufer_rational(ext)
-    _maybe_verify(args, ext)
 
     def payload():
         return {
@@ -264,12 +235,10 @@ def cmd_extend(args) -> int:
                 f"# new vertex {new_id} with euler {ext.vertex(new_id).euler}; "
                 f"rational: {rational}; multiplicity in fundamental cycle: {mult}"]
 
-    _emit(args, "extend", payload, lines)
-    return 0
+    return "extend", payload, lines, ext, 0
 
 
-def cmd_blowup(args) -> int:
-    g = _load_graph(args)
+def cmd_blowup(args, g):
     if (args.vertex is None) == (args.edge is None):
         raise InputError("choose exactly one of --vertex or --edge")
     locus = args.vertex if args.vertex is not None else tuple(args.edge)
@@ -284,7 +253,6 @@ def cmd_blowup(args) -> int:
         pushed = transform_numerators(bmap, rep)
         h_new = ClassElement(_class_of(cg_new, pushed, det))
         rows.append((h, rep, pushed, h_new, minimal_numerators(target, cg_new, h_new)))
-    _maybe_verify(args, target)
 
     def payload():
         return {
@@ -308,27 +276,22 @@ def cmd_blowup(args) -> int:
             f"{format_cycle(target, rep_new, det)} | {pushed == rep_new}"
             for h, rep, pushed, h_new, rep_new in rows]
 
-    _emit(args, "blowup", payload, lines)
-    return 0
+    return "blowup", payload, lines, target, 0
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args, g):
     if args.name is None:
         names = dsl.catalog_names() + dsl._KNOWN_PATTERNS
-        _emit(args, "catalog-list", lambda: {"names": list(names)}, lambda: names)
-        return 0
+        return "catalog-list", lambda: {"names": list(names)}, lambda: names, None, 0
     source = dsl.catalog_source(args.name)
-    _emit(args, "catalog-source", lambda: {"name": args.name, "source_text": source},
-          lambda: [source])
-    return 0
+    return ("catalog-source", lambda: {"name": args.name, "source_text": source},
+            lambda: [source], None, 0)
 
 
-def cmd_verify(args) -> int:
-    g = _load_graph(args)
+def cmd_verify(args, g):
     transcript = oracle.verify_all(g, scale=_box_scale(args))
-    _emit(args, "verification", lambda: jsonio.encode_transcript(transcript),
-          lambda: [transcript.to_text()])
-    return 0 if transcript.passed else 3
+    return ("verification", lambda: jsonio.encode_transcript(transcript),
+            lambda: [transcript.to_text()], None, 0 if transcript.passed else 3)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +344,17 @@ def main(argv=None) -> int:
     try:
         if args.box is not None:  # refused on every command, not only when verifying
             oracle._require_positive_scale(args.box)
-        return args.func(args)
+        g = None if args.command == "catalog" else _load_graph(args)
+        doc_type, payload, lines, audited, code = args.func(args, g)
+        if audited is not None and args.run_verify:
+            transcript = oracle.verify_all(audited, scale=_box_scale(args))
+            if not transcript.passed:
+                sys.stderr.write(transcript.to_text() + "\n")
+                raise InternalError("oracle cross-checks failed")
+        text = (jsonio.dumps(jsonio.document(doc_type, payload())) if args.format == "json"
+                else "\n".join(lines()))
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return code
     except (InputError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

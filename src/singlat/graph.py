@@ -385,8 +385,9 @@ def blow_up(g: ResolutionGraph, locus: Union[str, tuple[str, str]]) -> tuple[Res
     The new vertex has Euler number -1 and genus 0; touched vertices have
     their Euler number dropped by one, and an edge locus loses one copy of
     that edge. Total transforms through the returned map preserve all
-    pairings, hence det(-M).
+    pairings, hence det(-M). Refuses a form that is not negative definite.
     """
+    require_negative_definite(g)
     new_id = g.fresh_id("new")
     if isinstance(locus, str):
         g.vertex(locus)

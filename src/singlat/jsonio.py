@@ -119,7 +119,7 @@ def encode_vertex_record(g: ResolutionGraph, rec: VertexRecord) -> dict:
         "multiplicity": str(rec.multiplicity),
         "dual_cycle": encode_numerators(rec.dual, det),
         "class": [str(c) for c in rec.class_coords],
-        "min_rep": None if rec.min_rep is None else encode_numerators(rec.min_rep, det),
+        "min_rep": encode_numerators(rec.min_rep, det),
         "dual_is_min_rep": rec.dual_is_min_rep,
         "special": rec.special,
         "extended_rational": rec.extended_rational,

@@ -85,22 +85,28 @@ def _climb(diag, rows, vec: list[int], scale: int, level: list[int], choose, cap
     return steps, end, level
 
 
+def _chooser(g: ResolutionGraph, tie_break):
+    """The tie-break turned into `_climb`'s chooser of positions."""
+    if tie_break is None:
+        return None
+
+    def choose(positions: list[int]) -> int:
+        candidates = tuple(g.ids[i] for i in positions)
+        chosen = tie_break(candidates)
+        if chosen not in candidates:
+            raise InternalError(f"tie-break returned {chosen!r}, not a candidate")
+        return positions[candidates.index(chosen)]
+    return choose
+
+
 def _sequence(g: ResolutionGraph, vec: list[int], scale: int, tie_break, cap=None):
-    """`_climb` on g from the cycle vec / scale, with the tie-break turned
-    into a chooser of positions; the cap defaults to `_step_cap`."""
-    choose = None
-    if tie_break is not None:
-        def choose(positions: list[int]) -> int:
-            candidates = tuple(g.ids[i] for i in positions)
-            chosen = tie_break(candidates)
-            if chosen not in candidates:
-                raise InternalError(f"tie-break returned {chosen!r}, not a candidate")
-            return positions[candidates.index(chosen)]
+    """`_climb` on g from the cycle vec / scale, after one pairing pass; the
+    cap defaults to `_step_cap`."""
     diag, rows = diagonal(g), neighbours(g)
     level = sparse_pairings(diag, rows, vec)
     if cap is None:
         cap = _step_cap(g, level, scale)
-    return _climb(diag, rows, vec, scale, level, choose, cap)
+    return _climb(diag, rows, vec, scale, level, _chooser(g, tie_break), cap)
 
 
 def _run_sequence(g: ResolutionGraph, start: RatCycle, tie_break: Optional[TieBreak],
@@ -256,8 +262,10 @@ def h1_rational(g: ResolutionGraph, chern: RatCycle,
     if not laufer_rational(g):
         raise PreconditionError("the h1 sequence formula requires a rational graph")
     vec, scale = cycle_vector(g, chern)
-    dual_coordinates(g, vec, scale, "Chern class")
-    steps, _end, _level = _sequence(g, [-x for x in vec], scale, tie_break)
+    # the negated class pairs to c * scale where its dual coordinate is c
+    level = [c * scale for c in dual_coordinates(g, vec, scale, "Chern class")]
+    steps, _end, _level = _climb(diagonal(g), neighbours(g), [-x for x in vec], scale, level,
+                                 _chooser(g, tie_break), _step_cap(g, level, scale))
     return sum(value // scale - 1 for _, value in steps)
 
 

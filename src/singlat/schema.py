@@ -88,7 +88,7 @@ _VERTEX_RECORD = {
         "multiplicity": _INT_STRING,
         "dual_cycle": _CYCLE_ARRAY,
         "class": {"type": "array", "items": _INT_STRING},
-        "min_rep": {"anyOf": [_CYCLE_ARRAY, {"type": "null"}]},
+        "min_rep": _CYCLE_ARRAY,
         "dual_is_min_rep": {"type": ["boolean", "null"]},
         "special": {"type": ["boolean", "null"]},
         "extended_rational": {"type": ["boolean", "null"]},

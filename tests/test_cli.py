@@ -410,6 +410,59 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     assert shared[2][1].startswith("{") and not shared[3][1].startswith("{")
 
 
+NOT_NEGATIVE_DEFINITE = "vertex a euler=-1\nvertex b euler=-1\nedge a b\n"
+
+
+def test_verify_audits_the_graph_the_command_names(capsys, tmp_path, monkeypatch):
+    """`--verify` audits the extension for `extend`, the blown-up graph for
+    `blowup` and the input otherwise, once; `check` skips a form that is not
+    negative definite, and `verify` runs the oracle only once."""
+    from singlat import oracle
+    monkeypatch.delenv("SINGLAT_BOX", raising=False)
+    audited = []
+    verify_all = oracle.verify_all
+    monkeypatch.setattr(oracle, "verify_all",
+                        lambda g, scale: audited.append(g) or verify_all(g, scale=scale))
+    path = tmp_path / "not-negdef.graph"
+    path.write_text(NOT_NEGATIVE_DEFINITE)
+    a4 = dsl.catalog("A4")
+    extension, blown_up = graph.extend_graph(a4, "v1"), blow_up(a4, "v1")[0]
+    assert len(extension.ids) == len(blown_up.ids) == 5
+    cases = ((("extend", "--catalog", "A4", "--vertex", "v1"), [extension]),
+             (("blowup", "--catalog", "A4", "--vertex", "v1"), [blown_up]),
+             (("sh", "--catalog", "A4"), [a4]),
+             (("check", str(path)), []),
+             (("verify", "--catalog", "A2"), [dsl.catalog("A2")]))
+    for argv, expected in cases:
+        audited.clear()
+        code, _out, err = run(capsys, *argv, "--verify")
+        assert (code, err, audited) == (0, "", expected), argv
+
+
+def test_failed_cross_check_exits_three(capsys, monkeypatch):
+    """`verify` writes a failing transcript and exits 3; `--verify` on any
+    other command writes it to stderr instead of the command's output."""
+    from singlat import oracle
+    failed = oracle.VerificationTranscript((oracle.CheckResult("planted", False, "witness"),))
+    monkeypatch.setattr(oracle, "verify_all", lambda g, scale: failed)
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "verify", "--catalog", "A2", "--verify", "--format", fmt)
+        assert (code, err) == (3, "") and "witness" in out
+    code, out, err = run(capsys, "invariants", "--catalog", "A2", "--verify")
+    assert (code, out) == (3, "")
+    assert err == ("FAIL  planted: witness\nFAIL  overall\n"
+                   "internal consistency failure: oracle cross-checks failed\n")
+
+
+@pytest.mark.parametrize("locus", [("--vertex", "a"), ("--edge", "a", "b")],
+                         ids=("vertex", "edge"))
+def test_blowup_refuses_a_form_that_is_not_negative_definite(capsys, monkeypatch, locus):
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO(NOT_NEGATIVE_DEFINITE))
+    assert run(capsys, "blowup", "-", *locus) == (
+        2, "", "precondition not met: intersection form is not negative definite\n")
+
+
 def test_one_elimination_per_input_graph(capsys, tmp_path, monkeypatch):
     rational = [dsl.catalog(name) for name in ("A4", "D5", "E6", "E8", "paper-z7")]
     elliptic = [dsl.catalog(name) for name in ("cusp-3x3", "gamma-2-3-7", "simply-elliptic-d3")]

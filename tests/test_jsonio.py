@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import jsonschema
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -84,6 +85,16 @@ def test_report_json():
     assert doc["class_group"]["order"] == "7"
     assert len(doc["families"]) == 7
     validate(doc)
+
+
+def test_vertex_table_min_rep_is_never_null():
+    # every producer fills each row's minimal cycle, so the schema refuses a null one
+    g = catalog("paper-z7")
+    doc = json.loads(to_json(flat_annotation(g, full_sheaf_classes_rational(g))))
+    assert all(row["min_rep"] for row in doc["vertex_table"])
+    doc["vertex_table"][0]["min_rep"] = None
+    with pytest.raises(jsonschema.ValidationError):
+        validate(doc)
 
 
 def test_sequence_json():

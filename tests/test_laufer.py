@@ -156,6 +156,22 @@ def test_h1_requires_dual_lattice(z7):
         h1_rational(z7, RatCycle({"E1": Fraction(1, 3)}))
 
 
+def test_h1_pairs_its_chern_class_once(z7, monkeypatch):
+    # the climb starts from the pairings `dual_coordinates` already made
+    from singlat import graph as graph_module
+    duals = dual_basis(z7)
+    assert laufer_rational(z7)
+    calls = []
+    pairings = graph_module.sparse_pairings
+    for module in (graph_module, laufer):
+        monkeypatch.setattr(module, "sparse_pairings",
+                            lambda *args: calls.append(args) or pairings(*args))
+    for chern, expected in ((duals["E3"], 1), (duals["E1"], 0), (-duals["E2"], 0)):
+        calls.clear()
+        assert h1_rational(z7, chern) == expected
+        assert len(calls) == 1
+
+
 def test_h1_policy_independence(z7):
     duals = dual_basis(z7)
     for policy in tie_break_policies(5):
