@@ -18,6 +18,14 @@ at the public API (`antinef_points`, `brute_lipman_minima`,
 adapters (`pairing` in `dual-basis-pairings` and `chi-quadratic`, `chi` in
 `chi-quadratic`, `minimal_antinef_rep` in the minimal-cycle, cone and h1
 checks), and in failure messages.
+
+The chi minimum (`brute_min_chi`) is a Fincke-Pohst walk (Math. Comp. 44,
+1985): 4*chi is written as a sum of weighted squares by the oracle's own
+fraction-free elimination of the bordered form, so each prefix of
+coordinates bounds chi on everything below it, and the walk visits the
+ellipsoid below its best value instead of the whole box. It calls nothing
+in `linalg` or `laufer`, nor `adjugate`, whose elimination the dual-basis
+check audits.
 """
 
 from __future__ import annotations
@@ -30,10 +38,11 @@ from typing import Optional
 
 from .cycles import RatCycle
 from .errors import InputError, InternalError, PreconditionError
-from .graph import (ResolutionGraph, adjugate, blow_up, canonical_cycle, chi, chi_numerator,
-                    cycle_vector, diagonal, dual_basis, extend_graph, intersection_matrix,
-                    lattice_determinant, neighbours, pairing, pairing_vector,
-                    require_negative_definite, sparse_pairings, total_transform, vector_cycle)
+from .graph import (ResolutionGraph, adjugate, adjunction_targets, blow_up, canonical_cycle, chi,
+                    chi_numerator, cycle_vector, diagonal, dual_basis, extend_graph,
+                    intersection_matrix, lattice_determinant, neighbours, pairing,
+                    pairing_vector, require_negative_definite, sparse_pairings, total_transform,
+                    vector_cycle)
 from .lattice import (ClassElement, _class_of, class_group, class_of, reduced_numerators,
                       reduced_rep)
 from .laufer import (antinef_closure, fundamental_cycle, h1_rational, laufer_rational,
@@ -41,7 +50,7 @@ from .laufer import (antinef_closure, fundamental_cycle, h1_rational, laufer_rat
 from .record import Record
 
 # The most vertices `verify_all` accepts, the seed of its samples (fixed so
-# transcripts repeat) and the most grid points an exhaustive chi scan walks.
+# transcripts repeat) and the most grid points a chi scan's box may hold.
 VERIFY_SIZE_LIMIT = 8
 VERIFY_SEED = 0
 CHI_GRID_BUDGET = 300_000
@@ -86,9 +95,10 @@ def _require_positive_scale(scale: int) -> None:
 
 def affordable_chi_box(g: ResolutionGraph, scale: int = 3) -> tuple[Box, int]:
     """Largest scale <= the requested one whose full coefficient grid fits
-    CHI_GRID_BUDGET. Exhaustive chi scans walk the whole grid, so unlike the
-    anti-nef enumeration they cannot prune; large fundamental cycles force
-    a smaller box, which is recorded alongside the result."""
+    CHI_GRID_BUDGET; large fundamental cycles force a smaller box, which is
+    recorded alongside the result. The chi walk prunes to the ellipsoid
+    below its best value, so its cost no longer grows with the grid; the
+    budget stays because the scale it picks is printed in every transcript."""
     _require_positive_scale(scale)
     for s in range(scale, 0, -1):
         box = Box.for_graph(g, s)
@@ -196,76 +206,104 @@ def brute_lipman_min(g: ResolutionGraph, h: ClassElement,
     return brute_lipman_minima(g, box).get(h)
 
 
+def _chi_squares(rows, targets) -> tuple[list[list[int]], list[int], int, int]:
+    """4*chi as a sum of weighted squares, from one fraction-free (Bareiss)
+    elimination of the bordered matrix B = [[-2M, t], [t^T, 0]] that pivots
+    on the last vertex first: 4*chi(y) = (y, 1)^T B (y, 1) for the
+    intersection rows M and the adjunction targets t.
+
+    Returns (forms, weights, constant, scale) such that, for every integral y,
+    scale * 4*chi(y) = constant + sum_v weights[v] * s_v(y)^2 with
+    s_v(y) = forms[v][v] y_v + sum_{u<v} forms[v][u] y_u + forms[v][-1].
+    Each s_v depends on y_0..y_v only, and forms[v][v], a principal minor of
+    -2M, is positive. Row v is the pivot row as elimination reaches it; its
+    square enters over the product of its pivot and the one before.
+    """
+    n = len(rows)
+    a = [[-2 * x for x in row] + [t] for row, t in zip(rows, targets)]
+    corner = 0  # B's last diagonal entry; its row is its column, column n of `a`
+    forms, denominators, prev = [[]] * n, [0] * n, 1
+    for k in range(n - 1, -1, -1):
+        pivot, edge = a[k][k], a[k][n]
+        forms[k] = a[k][:k + 1] + [edge]
+        for i in range(k):
+            f = a[i][k]
+            a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        corner = (pivot * corner - edge * edge) // prev
+        denominators[k], prev = prev * pivot, pivot
+    scale = math.lcm(*denominators)
+    return forms, [scale // d for d in denominators], scale // prev * corner, scale
+
+
 def brute_min_chi(g: ResolutionGraph, box: Optional[Box] = None) -> tuple[int, RatCycle]:
     """Minimum of chi over nonzero effective integral cycles in the box.
 
-    Along the coordinate with the largest bound, the line coordinate c,
-    2*chi is a convex quadratic, least at one of the two integers around
-    its vertex, so each line of the grid costs O(1) big-int work; the other
-    coordinates are walked odometer-style in vertex order, the last
-    fastest, maintaining the quadratic form incrementally, so the grid has
-    the fewest lines. The witness returned is the lexicographically least
-    minimiser, the first in odometer order over all coordinates: within a
-    line the least c wins, and a later line beats an equal value only while
-    the coordinates before c are unchanged and its c is lower.
+    A depth-first walk over the coordinates in vertex order, each ascending,
+    so points come in lexicographic order and the witness returned is the
+    lexicographically least minimiser: a later point replaces it only with a
+    strictly lower value. With y_0..y_v fixed, the squares of `_chi_squares`
+    up to v plus its constant bound 4*chi from below on the whole subtree,
+    which is skipped once that bound reaches the best value so far. Along
+    y_v the bound is a convex quadratic in s_v: past its centre (s_v >= 0)
+    a failed bound ends the coordinate, before it the walk moves on. The
+    last coordinate is solved in closed form: one of the two integers around
+    the centre, clamped to the box, the lower on a tie. All arithmetic is
+    in integers; the node count depends on the ellipsoid below the best
+    value, not on the box, and an unpruned walk costs O(n) per grid line.
+    The value is re-evaluated on the witness straight from the intersection
+    rows before it is returned.
     """
     require_negative_definite(g)
     box = _resolve_box(g, box)
     ids = g.ids
-    rows = intersection_matrix(g).rows
-    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
-    targets = [v.euler + 2 - 2 * v.genus for v in g.vertices]
     limits = [box.bound(vid) for vid in ids]
-    top = max(limits)
-    if top == 0:
+    if max(limits) == 0:
         raise PreconditionError("empty box: no nonzero cycles to scan")
+    rows, targets = intersection_matrix(g).rows, adjunction_targets(g)
+    forms, weights, constant, scale = _chi_squares(rows, targets)
+    n = len(ids)
+    # s_w's terms from the coordinates fixed so far, and where y_v enters them
+    offsets = [form[-1] for form in forms]
+    columns = [[(w, forms[w][v]) for w in range(v + 1, n) if forms[w][v]] for v in range(n)]
+    point = [0] * n
+    best = witness = None  # least scale * 4*chi so far and its point
 
-    line = len(ids) - 1 - limits[::-1].index(top)  # the last of the largest bounds
-    walked = [i for i in range(len(ids)) if i != line]
-    curve = -rows[line][line]  # > 0 on a negative-definite form
-    coeffs = [0] * len(ids)    # coeffs[line] stays zero
-    q = 0                      # l^T M l
-    p = [0] * len(ids)         # (M l)_v
-    tau = 0                    # l . targets
-    low = 1                    # the zero cycle is not a candidate; top >= 1
-    best = witness = None      # least 2 * chi so far and its cycle
-    same_prefix = False        # the coordinates before `line` are the witness's
-    while True:
-        # 2*chi(l + c E_line) = tau - q + slope*c + curve*c^2 for c in [low, top]
-        slope = targets[line] - 2 * p[line]
-        c = min(max(-slope // (2 * curve), low), top)
-        if c < top and slope + curve * (2 * c + 1) < 0:  # c + 1 is strictly lower
-            c += 1
-        value2 = tau - q + slope * c + curve * c * c
-        if best is None or value2 < best or (
-                value2 == best and same_prefix and c < witness[line]):
-            best, witness, same_prefix = value2, coeffs.copy(), True
-            witness[line] = c
-        low = 0
-        k = len(walked) - 1
-        while k >= 0:
-            pos = walked[k]
-            c = coeffs[pos]
-            if c < limits[pos]:
-                break
-            q -= 2 * c * p[pos] - c * c * rows[pos][pos]  # roll back to zero
-            for j, x in nonzero[pos]:
-                p[j] -= c * x
-            tau -= c * targets[pos]
-            coeffs[pos] = 0
-            k -= 1
-        if k < 0:
-            break
-        if pos < line:
-            same_prefix = False
-        q += 2 * p[pos] + rows[pos][pos]  # advance by one
-        for j, x in nonzero[pos]:
-            p[j] += x
-        tau += targets[pos]
-        coeffs[pos] += 1
-    if best % 2:  # pragma: no cover - chi is integral on integral cycles
+    def walk(v: int, bound: int, nonzero: bool) -> None:
+        nonlocal best, witness
+        p, offset, weight, limit = forms[v][v], offsets[v], weights[v], limits[v]
+        if v == n - 1:
+            low = 0 if nonzero else 1  # the zero cycle is no candidate
+            c = min(max(-offset // p, low), limit)
+            if c < limit and abs(p * (c + 1) + offset) < abs(p * c + offset):
+                c += 1
+            value = bound + weight * (p * c + offset) ** 2
+            if c >= low and (best is None or value < best):
+                best, witness = value, point[:v] + [c]
+            return
+        applied = 0  # the y_v that `offsets` holds
+        for c in range(limit + 1):
+            s = p * c + offset
+            here = bound + weight * s * s
+            if best is not None and here >= best:
+                if s >= 0:
+                    break
+                continue
+            for w, x in columns[v]:
+                offsets[w] += (c - applied) * x
+            applied = point[v] = c
+            walk(v + 1, here, nonzero or c > 0)
+        for w, x in columns[v]:
+            offsets[w] -= applied * x
+
+    walk(0, constant, False)
+    two_chi = (sum(map(operator.mul, targets, witness))
+               - sum(c * sum(map(operator.mul, row, witness)) for c, row in zip(witness, rows)))
+    if best != 2 * scale * two_chi:
+        raise InternalError(f"the chi walk gives 4*chi = {Fraction(best, scale)} at {witness}, "
+                            f"the intersection rows give {2 * two_chi}")
+    if two_chi % 2:  # pragma: no cover - chi is integral on integral cycles
         raise InternalError("chi evaluated to a half-integer on an integral cycle")
-    return best // 2, RatCycle(zip(ids, witness))
+    return two_chi // 2, RatCycle(zip(ids, witness))
 
 
 def brute_fundamental_cycle(g: ResolutionGraph, box: Optional[Box] = None) -> Optional[RatCycle]:

@@ -72,34 +72,117 @@ def test_brute_min_chi_examples(z7):
     assert witness == RatCycle({"E1": 1, "E2": 1, "E3": 1})
 
 
-def test_brute_min_chi_matches_a_point_by_point_scan():
-    # the line-by-line scan must return the value and the witness of a plain
-    # walk over every grid point, first minimiser in product order; genus and
-    # (-1)-curves make lines with two least points
+def plain_min_chi(g, box):
+    """The first least 2*chi over every nonzero grid point in product order,
+    each evaluated in integers from the intersection rows and the adjunction
+    targets: (2*chi, point), or None for an empty box."""
     import itertools
+
+    from singlat import intersection_matrix
+    rows = intersection_matrix(g).rows
+    targets = [v.euler + 2 - 2 * v.genus for v in g.vertices]
+    best = None
+    for y in itertools.product(*(range(b + 1) for _vid, b in box.bounds)):
+        if not any(y):
+            continue
+        value = (sum(t * c for t, c in zip(targets, y))
+                 - sum(c * sum(x * d for x, d in zip(row, y)) for c, row in zip(y, rows)))
+        if best is None or value < best[0]:
+            best = value, y
+    return best
+
+
+def test_brute_min_chi_matches_a_point_by_point_scan():
+    # the pruned walk must return the value and the witness of a plain walk
+    # over every grid point, first minimiser in product order; genus and
+    # (-1)-curves make lines with two least points, and extra edges make
+    # cycles and double edges
     import random
 
     from singlat import chi, intersection_matrix, is_negative_definite
 
     rng = random.Random(11)
     scanned = 0
-    while scanned < 120:
-        n = rng.randint(1, 4)
-        g = graph([(f"v{i}", rng.choice((-1, -2, -2, -3, -5)), rng.choice((0, 0, 1)))
-                   for i in range(n)], [(f"v{rng.randrange(i)}", f"v{i}") for i in range(1, n)])
+    while scanned < 150:
+        n = rng.randint(1, 5)
+        edges = [(f"v{rng.randrange(i)}", f"v{i}") for i in range(1, n)]
+        if n > 1:
+            edges += [tuple(f"v{i}" for i in rng.sample(range(n), 2))
+                      for _ in range(rng.choice((0, 0, 1, 2)))]
+        g = graph([(f"v{i}", rng.choice((-1, -2, -2, -3, -5, -7)), rng.choice((0, 0, 1, 2)))
+                   for i in range(n)], edges)
         if not is_negative_definite(intersection_matrix(g)):
             continue
-        box = Box(tuple((vid, rng.randint(0, 3)) for vid in g.ids))
-        points = [RatCycle(zip(g.ids, c)) for c in
-                  itertools.product(*(range(b + 1) for _vid, b in box.bounds)) if any(c)]
+        box = Box(tuple((vid, rng.randint(0, 4)) for vid in g.ids))
         scanned += 1
-        if not points:
+        plain = plain_min_chi(g, box)
+        if plain is None:
             with pytest.raises(PreconditionError):
                 brute_min_chi(g, box)
             continue
-        values = [chi(g, point) for point in points]
-        least = min(values)
-        assert brute_min_chi(g, box) == (least, points[values.index(least)])
+        value, witness = brute_min_chi(g, box)
+        assert (2 * value, witness) == (plain[0], RatCycle(zip(g.ids, plain[1])))
+        assert chi(g, witness) == value
+
+
+def test_brute_min_chi_matches_a_plain_walk_on_catalog_boxes():
+    checked = []
+    for g in small_catalog_graphs():
+        box = Box.for_graph(g, 3)
+        if grid_size(box) > 60_000:
+            continue
+        value, witness = brute_min_chi(g, box)
+        least, point = plain_min_chi(g, box)
+        assert (2 * value, witness) == (least, RatCycle(zip(g.ids, point)))
+        checked.append(g)
+    assert len(checked) >= 12
+
+
+def test_brute_min_chi_does_not_depend_on_the_box_scale():
+    # 251,742,400 grid points at scale 3 and about 7.1e17 at scale 50: the
+    # walk visits the ellipsoid below its best value, not the box
+    import time
+
+    e8 = catalog("E8")
+    for scale in (3, 50):
+        box = Box.for_graph(e8, scale)
+        start = time.perf_counter()
+        assert brute_min_chi(e8, box) == (1, RatCycle.unit("v7"))
+        assert time.perf_counter() - start < 5
+
+
+def test_brute_min_chi_runs_without_linalg_or_the_sequence_kernel(monkeypatch):
+    from singlat import graph as graph_module
+    from singlat import laufer, linalg, oracle
+    from singlat.graph import require_negative_definite
+
+    def forbidden(*args):
+        raise AssertionError("the chi walk called the code it audits")
+
+    genus_one = graph([("e", -1, 1)])
+    boxes = {g: Box.for_graph(g) for g in (catalog("paper-z7"), catalog("D4"),
+                                           catalog("cusp-3x3"), genus_one)}
+    for g in boxes:
+        require_negative_definite(g)
+    for module, name in ((linalg, "eliminate"), (laufer, "_climb"),
+                         (graph_module, "adjugate"), (oracle, "adjugate")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert brute_min_chi(genus_one, boxes[genus_one]) == (0, RatCycle.unit("e"))
+    for g, box in boxes.items():
+        assert brute_min_chi(g, box)[0] in (0, 1)
+
+
+def test_brute_min_chi_checks_its_value_on_the_witness(monkeypatch):
+    from singlat import oracle
+    squares = oracle._chi_squares
+
+    def shifted(rows, targets):
+        forms, weights, constant, scale = squares(rows, targets)
+        return forms, weights, constant - 1, scale
+
+    monkeypatch.setattr(oracle, "_chi_squares", shifted)
+    with pytest.raises(InternalError, match="the intersection rows give 4$"):
+        brute_min_chi(catalog("A3"))
 
 
 def test_brute_fundamental(z7):
