@@ -20,11 +20,6 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
 def eliminate(rows, rhs_rows=None) -> tuple[list[int], list[list[int]]]:
     """One fraction-free Gauss-Jordan elimination (Bareiss, 1968) of [A | B],
     A square and integer: its pivots, and the integer block it leaves, which

@@ -10,22 +10,24 @@ computation-sequence machinery they are meant to audit.
 Points are integer numerators over det(-M) in vertex order, from one
 enumerator (`_antinef_numerators`): the box checks of `verify_all` compare,
 shift and take minima on those tuples, and each cycle a check samples
-becomes numerators once per check. Path independence compares class
-numerators, h1 takes its chi difference from `chi_numerator`, and blow-up
-invariance compares two integer Gram matrices. A `RatCycle` is built only
-at the public API (`antinef_points`, `brute_lipman_minima`,
-`brute_fundamental_cycle`), by the checks that audit the public `RatCycle`
-adapters (`pairing` in `dual-basis-pairings` and `chi-quadratic`, `chi` in
-`chi-quadratic`, `minimal_antinef_rep` in the minimal-cycle, cone and h1
-checks), and in failure messages.
+becomes numerators once per check. Path independence compares the
+numerators its climbs end on with Z_min's and each class's, h1 takes its
+chi difference from `chi_numerator`, and blow-up invariance compares two
+integer Gram matrices. A `RatCycle` is built only at the public API
+(`antinef_points`, `brute_lipman_minima`, `brute_fundamental_cycle`), by
+the checks that audit the public `RatCycle` adapters (`pairing` in
+`dual-basis-pairings` and `chi-quadratic`, `chi` in `chi-quadratic`,
+`minimal_antinef_rep` in the minimal-cycle, cone and h1 checks), and in
+failure messages.
 
 The chi minimum (`brute_min_chi`) is a Fincke-Pohst walk (Math. Comp. 44,
 1985): 4*chi is written as a sum of weighted squares by the oracle's own
 fraction-free elimination of the bordered form, so each prefix of
 coordinates bounds chi on everything below it, and the walk visits the
-ellipsoid below its best value instead of the whole box. It calls nothing
-in `linalg` or `laufer`, nor `adjugate`, whose elimination the dual-basis
-check audits.
+ellipsoid below its best value instead of the whole box. Its cost does not
+grow with the box, so the chi check walks the one box `verify_all` builds
+and reports that scale. It calls nothing in `linalg` or `laufer`, nor
+`adjugate`, whose elimination the dual-basis check audits.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
+from . import laufer
 from .cycles import RatCycle
 from .errors import InputError, InternalError, PreconditionError
 from .graph import (ResolutionGraph, adjugate, adjunction_targets, blow_up, canonical_cycle, chi,
@@ -49,11 +52,10 @@ from .laufer import (antinef_closure, fundamental_cycle, h1_rational, laufer_rat
                      minimal_antinef_rep, minimal_numerators, z_min_cycle, z_min_numerators)
 from .record import Record
 
-# The most vertices `verify_all` accepts, the seed of its samples (fixed so
-# transcripts repeat) and the most grid points a chi scan's box may hold.
+# The most vertices `verify_all` accepts and the seed of its samples (fixed
+# so transcripts repeat).
 VERIFY_SIZE_LIMIT = 8
 VERIFY_SEED = 0
-CHI_GRID_BUDGET = 300_000
 
 
 class Box(Record):
@@ -84,29 +86,9 @@ def _resolve_box(g: ResolutionGraph, box: Optional[Box]) -> Box:
     return box if box is not None else Box.for_graph(g)
 
 
-def grid_size(box: Box) -> int:
-    return math.prod(b + 1 for _vid, b in box.bounds)
-
-
 def _require_positive_scale(scale: int) -> None:
     if scale < 1:
         raise InputError("box scale must be a positive integer")
-
-
-def affordable_chi_box(g: ResolutionGraph, scale: int = 3) -> tuple[Box, int]:
-    """Largest scale <= the requested one whose full coefficient grid fits
-    CHI_GRID_BUDGET; large fundamental cycles force a smaller box, which is
-    recorded alongside the result. The chi walk prunes to the ellipsoid
-    below its best value, so its cost no longer grows with the grid; the
-    budget stays because the scale it picks is printed in every transcript."""
-    _require_positive_scale(scale)
-    for s in range(scale, 0, -1):
-        box = Box.for_graph(g, s)
-        if grid_size(box) <= CHI_GRID_BUDGET:
-            return box, s
-    raise PreconditionError(
-        "even the scale-1 coefficient grid exceeds the enumeration budget; "
-        "this graph is too large for the exhaustive chi scan")
 
 
 def _antinef_numerators(g: ResolutionGraph, box: Optional[Box] = None
@@ -529,12 +511,16 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         return f"fundamental cycle confirmed: {z_min}"
 
     def check_path_independence():
+        # each vertex climbs from its unit vector in integers, through the
+        # `laufer` module so a patched `_sequence` reaches it
         rng = random.Random(VERIFY_SEED + 2)
         starts = [(h, reduced_numerators(cg, h)) for h in cg.elements()]
+        units = [[int(u == v) for u in ids] for v in ids]
+        z_min_vec = list(z_min_numerators(g))
         for trial in range(5):
             policy = (lambda r: (lambda cands: r.choice(cands)))(random.Random(rng.randrange(10 ** 6)))
-            for v in ids:
-                if fundamental_cycle(g, start_vertex=v, tie_break=policy).end != z_min:
+            for v, unit in zip(ids, units):
+                if laufer._sequence(g, unit, 1, policy, laufer._BOOTSTRAP_CAP)[1] != z_min_vec:
                     raise InternalError(f"fundamental cycle changed from start {v}")
             for h, start in starts:
                 if (minimal_numerators(g, cg, h, tie_break=policy, start=start)
@@ -543,8 +529,7 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         return "endpoints stable under randomized tie-breaking"
 
     def check_rationality_chi():
-        chi_box, used_scale = affordable_chi_box(g, scale)
-        value, witness = brute_min_chi(g, chi_box)
+        value, witness = brute_min_chi(g, box)
         rational = laufer_rational(g)
         if rational:
             if value != 1:
@@ -555,7 +540,7 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
             elliptic = chi(g, z_min) == 0
             if elliptic != (value == 0):
                 raise InternalError(f"chi(Z_min) = {chi(g, z_min)} but bounded min chi = {value}")
-        return f"bounded min chi = {value} at {witness} (box scale {used_scale})"
+        return f"bounded min chi = {value} at {witness} (box scale {scale})"
 
     def check_specialness():
         if not laufer_rational(g):

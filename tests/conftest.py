@@ -6,6 +6,7 @@ bounded enumerations stay cheap: the acceptance suite re-runs the oracles
 over every corpus graph.
 """
 
+import math
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import settings
 
 from singlat import (ResolutionGraph, classify_singularity, intersection_matrix,
                      is_negative_definite, lattice_determinant, linalg)
-from singlat.oracle import Box, grid_size
+from singlat.oracle import Box
 
 settings.register_profile("suite", max_examples=50, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -40,7 +41,7 @@ def _affordable(g) -> bool:
     # and the scale-3 chi grid
     if lattice_determinant(g) > 60:
         return False
-    return grid_size(Box.for_graph(g, 3)) <= 200_000
+    return math.prod(b + 1 for _, b in Box.for_graph(g, 3).bounds) <= 200_000
 
 
 def generate_rational_corpus(count=100, seed=CORPUS_SEED, max_vertices=6):

@@ -15,7 +15,7 @@ from singlat import (blow_up, canonical_cycle, catalog, chi, class_group,
                      pairing, reduced_rep, special_full_sheaves, total_transform)
 from singlat.classify import FLAT_ALL, FLAT_UNKNOWN, FLAT_ZERO_KNOWN
 from singlat.graph import vector_cycle
-from singlat.oracle import Box, affordable_chi_box, brute_lipman_minima, brute_min_chi
+from singlat.oracle import Box, brute_lipman_minima, brute_min_chi
 
 from conftest import tie_break_policies
 
@@ -121,8 +121,7 @@ def test_criterion_5_rationality_ellipticity_vs_chi(rational_corpus):
     with criterion(5, "sequence criterion matches bounded chi minima on corpus + catalog"):
         graphs = list(rational_corpus) + [catalog(name) for name in CATALOG_NAMES]
         for g in graphs:
-            box, _scale = affordable_chi_box(g, 3)
-            value, witness = brute_min_chi(g, box)
+            value, witness = brute_min_chi(g, Box.for_graph(g, 3))
             rational = laufer_rational(g)
             assert rational == (value == 1), \
                 f"rationality mismatch on {g.vertices}: min chi {value} at {witness}"

@@ -159,6 +159,28 @@ def test_extend_reads_the_seeded_z_min_on_a_fibonacci_chain(capsys, tmp_path, mo
     assert laufer.laufer_rational(ext) is False
 
 
+def test_verify_walks_the_chi_box_of_an_eight_vertex_fibonacci_chain(capsys, tmp_path):
+    # Z_min grows as Fibonacci numbers, so even the scale-1 coefficient grid
+    # holds 798,336 points; the chi walk's cost does not depend on the grid
+    g = fibonacci_chain(8)
+    path = tmp_path / "fib8.graph"
+    path.write_text(dsl.serialize(dsl.GraphDocument(None, g.vertices, g.edges)))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 20 and all(line.startswith("PASS  ") for line in lines)
+    assert "PASS  rationality-chi-criterion: bounded min chi = 1 at new7 (box scale 3)" in lines
+
+
+@pytest.mark.parametrize("name, scale, witness", (
+    ("E7", 3, "v6"), ("E8", 3, "v7"), ("D8", 3, "v8"), ("E8", 2, "v7"), ("paper-z7", 5, "f")))
+def test_verify_chi_criterion_reports_the_requested_scale(capsys, name, scale, witness):
+    code, doc, err = run_json(capsys, "verify", "--catalog", name, "--box", str(scale))
+    assert (code, err) == (0, "")
+    detail = next(c["detail"] for c in doc["checks"] if c["name"] == "rationality-chi-criterion")
+    assert detail == f"bounded min chi = 1 at {witness} (box scale {scale})"
+
+
 def test_blowup_vertex(capsys):
     code, doc, _ = run_json(capsys, "blowup", "--catalog", "paper-z7",
                             "--vertex", "E4")
@@ -703,7 +725,7 @@ GOLDEN = {
     "E8 extend --vertex v7 text": "35d3205961cb09b3b49a5910467e22770c038bad5381dda117c89fda142e634e",
     "E8 blowup --vertex v1 text": "65783a0334b9272dbbcbbb96b5809bd6a96f777c76edf756ebcc73ffa0a526e4",
     "E8 blowup --edge v1 v2 text": "11b11a5b181772348a9fd9be81f4444894e1debeb7aaba978b2e78990a771e8c",
-    "E8 verify text": "a627e7e1bc0047ee5449d89a378d1194a4d8ac2399d18fd9c287d6e5a1e88b18",
+    "E8 verify text": "f9a5320cb2c8a34df6d1e5716590b3c448a547042fae34c9554e8635e6169303",
     "E8 check json": "bfd9bf991efa8621351d46e1c0226d4d2113bd830ac8651aa4900b21e6dbf527",
     "E8 invariants json": "95e845324d489970c5c4336af42a7caefff67e5e8ae992b6fb7e0bd81de45c7f",
     "E8 sh json": "e9785f1a205311b43c6c0910c9e6ac8c395d781da6382dd5d15f1154ae5b15e0",
@@ -713,7 +735,7 @@ GOLDEN = {
     "E8 extend --vertex v7 json": "845470ac6f91f854d63ee0e2ef5a6e7bfa2183242e4f16b59a96f6ef3d79a289",
     "E8 blowup --vertex v1 json": "bcea7043eb8654985a2255c7b338330181a256560e43e6e18a8cec1ce47d5ae0",
     "E8 blowup --edge v1 v2 json": "e010c04e9032459b69c73262e2d674a7218cda0b89cea5c76294e7f0c58ff676",
-    "E8 verify json": "0fa95c2f4649caf627be403e49371fbc9b341c8d3854de361f8f545a452631bd",
+    "E8 verify json": "f8972df5f69f4feb36900de871bc2b0773a2d302ad0b687e70c9deb4a02f65ad",
     "paper-z7 check text": "3c292cfc7de184bc0138f2ec1c4016002becb55c935c5e370e95e28e34fa6acf",
     "paper-z7 invariants text": "59f8b4e6bca505db12156af22e21bdf6998b54a569026dc9f98f5bde67048274",
     "paper-z7 sh text": "31d9304d51bdf03f144a36e1b2f1b2bbdc79941ca468f63ca0dd84c210f044e6",
