@@ -1,12 +1,13 @@
 """Command-line front end. Results go to stdout, diagnostics to stderr.
 
-`main` runs every command through one pipeline: it refuses a bad `--box`,
-loads the graph (every command but `catalog`), calls the command, runs
-`oracle.verify_all` on the graph the command names if `--verify` was given,
-then writes the JSON document or the text that `--format` asks for. A
-command `cmd_*(args, g)` only computes: it returns its document type, its
-`payload` and `lines` functions (only the one `--format` asks for is
-called), the graph `--verify` audits (None for none) and its exit code.
+`main` runs every command through one pipeline: unless the command is
+`catalog`, it refuses a `--box` below 1 and loads the graph; it calls the
+command, runs `oracle.verify_all` at scale `--box` on the graph the command
+names if `--verify` was given, then writes the JSON document or the text
+that `--format` asks for. A command `cmd_*(args, g)` only computes: it
+returns its document type, its `payload` and `lines` functions (only the
+one `--format` asks for is called), the graph `--verify` audits (None for
+none) and its exit code.
 
 Exit codes: 0 success, 1 user or input error, 2 precondition unmet,
 3 internal consistency failure.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -63,16 +63,6 @@ def _load_graph(args) -> ResolutionGraph:
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {args.input!r}: {exc}") from None
     return dsl.parse(text).graph()
-
-
-def _box_scale(args) -> int:
-    scale, env = args.box, os.environ.get("SINGLAT_BOX")
-    if scale is None and env:
-        try:
-            scale = int(env)
-        except ValueError:
-            raise InputError(f"SINGLAT_BOX must be an integer, got {env!r}") from None
-    return 3 if scale is None else scale
 
 
 def cmd_check(args, g):
@@ -289,7 +279,7 @@ def cmd_catalog(args, g):
 
 
 def cmd_verify(args, g):
-    transcript = oracle.verify_all(g, scale=_box_scale(args))
+    transcript = oracle.verify_all(g, scale=args.box)
     return ("verification", lambda: jsonio.encode_transcript(transcript),
             lambda: [transcript.to_text()], None, 0 if transcript.passed else 3)
 
@@ -309,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--catalog", metavar="NAME", help="use a built-in graph")
             p.add_argument("--verify", dest="run_verify", action="store_true",
                            help="run the oracle cross-checks after computing")
+            p.add_argument("--box", type=int, default=3,
+                           help="oracle enumeration box scale, a positive integer (default 3)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--box", type=int, default=None,
-                       help="enumeration box scale (default 3, env SINGLAT_BOX)")
         return p
 
     add("check", cmd_check, "well-formedness, definiteness, singularity type")
@@ -342,12 +332,12 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
-        if args.box is not None:  # refused on every command, not only when verifying
+        if args.command != "catalog":  # refused whether or not it verifies
             oracle._require_positive_scale(args.box)
         g = None if args.command == "catalog" else _load_graph(args)
         doc_type, payload, lines, audited, code = args.func(args, g)
         if audited is not None and args.run_verify:
-            transcript = oracle.verify_all(audited, scale=_box_scale(args))
+            transcript = oracle.verify_all(audited, scale=args.box)
             if not transcript.passed:
                 sys.stderr.write(transcript.to_text() + "\n")
                 raise InternalError("oracle cross-checks failed")

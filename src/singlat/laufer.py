@@ -16,7 +16,8 @@ chi(x + E_v) = chi(x) + 1 - (x, E_v) on genus-zero vertices (Laufer, Amer.
 J. Math. 94, 1972), an h1 sum is chi(start) - chi(end), which `classify`
 reads off the class table with no pass. The minimally elliptic cycle is a
 canonical cycle on a subgraph found by rationality tests on the graph's own
-rows, on every resolution; no grid of cycles is walked.
+rows, on every resolution; no grid of cycles is walked, and the verdict
+reads its integer coefficients, building no cycle object.
 """
 
 from __future__ import annotations
@@ -304,6 +305,22 @@ def _minimal_non_rational_subgraph(g: ResolutionGraph) -> ResolutionGraph:
     return g if len(core) == len(g.ids) else induced_subgraph(g, core)
 
 
+def _elliptic_cycle(g: ResolutionGraph) -> tuple[int, ...]:
+    """`minimally_elliptic_cycle`'s integer coefficients in vertex order; no
+    precondition is checked and no cycle object is built."""
+    z_min = z_min_numerators(g)
+    core = _minimal_non_rational_subgraph(g)
+    det = lattice_determinant(core)
+    on_core = dict(zip(core.ids, canonical_numerators(core)))
+    cycle = [on_core.get(vid, 0) for vid in g.ids]
+    if not (any(cycle) and all(x % det == 0 and x <= z * det for x, z in zip(cycle, z_min))
+            and chi_numerator(g, cycle, det) == 0):
+        raise InternalError(
+            f"canonical cycle {vector_cycle(g, cycle, det)} of the minimal non-rational "
+            "subgraph is not a nonzero integral chi-zero cycle below the fundamental cycle")
+    return tuple(x // det for x in cycle)
+
+
 def minimally_elliptic_cycle(g: ResolutionGraph) -> RatCycle:
     """The minimal nonzero effective cycle E with chi zero on an elliptic
     graph, minimal resolution or not: the canonical cycle of the unique
@@ -327,19 +344,9 @@ def minimally_elliptic_cycle(g: ResolutionGraph) -> RatCycle:
     require_negative_definite(g)
     if laufer_rational(g):
         raise PreconditionError("rational graphs have no minimally elliptic cycle")
-    z_min = z_min_numerators(g)
     if z_min_chi_numerator(g):
         raise PreconditionError("graph is not elliptic: chi of the fundamental cycle is nonzero")
-    core = _minimal_non_rational_subgraph(g)
-    det = lattice_determinant(core)
-    on_core = dict(zip(core.ids, canonical_numerators(core)))
-    cycle = [on_core.get(vid, 0) for vid in g.ids]
-    if not (any(cycle) and all(x % det == 0 and x <= z * det for x, z in zip(cycle, z_min))
-            and chi_numerator(g, cycle, det) == 0):
-        raise InternalError(
-            f"canonical cycle {vector_cycle(g, cycle, det)} of the minimal non-rational "
-            "subgraph is not a nonzero integral chi-zero cycle below the fundamental cycle")
-    return vector_cycle(g, cycle, det)
+    return vector_cycle(g, _elliptic_cycle(g), 1)
 
 
 class SingularityType(Record):
@@ -362,8 +369,8 @@ def classify_singularity(g: ResolutionGraph) -> SingularityType:
     integral canonical cycle equal to the elliptic cycle, plus equality
     with the fundamental cycle on minimal resolutions; on non-minimal
     resolutions the verdict is kept but flagged, since the defining
-    equality only holds after blowing down. The elliptic cycle comes from
-    `minimally_elliptic_cycle` on every resolution.
+    equality only holds after blowing down. The elliptic cycle is read in
+    integers from `_elliptic_cycle`, on every resolution.
     Cusps are minimal cycle-shaped graphs of genus-zero curves.
     """
     require_negative_definite(g)
@@ -381,10 +388,10 @@ def classify_singularity(g: ResolutionGraph) -> SingularityType:
     minimally_elliptic = False
     support_all: bool | None = None
     if elliptic:
-        cycle = cycle_vector(g, minimally_elliptic_cycle(g))[0]  # integral
+        cycle = _elliptic_cycle(g)
         support_all = all(cycle)
         core = gorenstein and [x * det for x in cycle] == list(z_k)
-        minimally_elliptic = core and (tuple(cycle) == z_min or not minimal)
+        minimally_elliptic = core and (cycle == z_min or not minimal)
         if core and not minimal:
             warnings.append(
                 "non-minimal resolution: minimally elliptic verdict rests on "

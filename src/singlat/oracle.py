@@ -48,8 +48,8 @@ from .graph import (ResolutionGraph, adjugate, adjunction_targets, blow_up, cano
                     vector_cycle)
 from .lattice import (ClassElement, _class_of, class_group, class_of, reduced_numerators,
                       reduced_rep)
-from .laufer import (antinef_closure, fundamental_cycle, h1_rational, laufer_rational,
-                     minimal_antinef_rep, minimal_numerators, z_min_cycle, z_min_numerators)
+from .laufer import (antinef_closure, h1_rational, laufer_rational, minimal_antinef_rep,
+                     minimal_numerators, z_min_cycle, z_min_numerators)
 from .record import Record
 
 # The most vertices `verify_all` accepts and the seed of its samples (fixed
@@ -612,9 +612,11 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         return f"{len(loci)} loci: determinant and pairings preserved"
 
     def check_extension():
+        # `ext` knows its Z_min from a warm start: climb cold through `laufer`
         ext = extend_graph(g, ids[0])
         new_id = ext.ids[-1]
-        mult = fundamental_cycle(ext).end.coefficient(new_id)
+        first_unit = [1] + [0] * len(ids)
+        mult = laufer._sequence(ext, first_unit, 1, None, laufer._BOOTSTRAP_CAP)[1][-1]
         if mult != 1:
             raise InternalError(f"extension vertex has multiplicity {mult}")
         return f"stable extension at {ids[0]!r} with Euler number {ext.vertex(new_id).euler}"

@@ -276,31 +276,34 @@ def test_requires_one_source(capsys):
     assert code == 1
 
 
-def test_box_env(capsys, monkeypatch):
-    monkeypatch.setenv("SINGLAT_BOX", "2")
-    code, _out, _err = run(capsys, "verify", "--catalog", "A1")
-    assert code == 0
-    monkeypatch.setenv("SINGLAT_BOX", "x")
-    code, _out, err = run(capsys, "verify", "--catalog", "A1")
-    assert code == 1
-    assert "SINGLAT_BOX" in err
+@pytest.mark.parametrize("value", ["x", "0"])
+def test_box_environment_variable_is_ignored(capsys, monkeypatch, value):
+    # `--box` is the one box setting: SINGLAT_BOX neither moves nor refuses it
+    monkeypatch.setenv("SINGLAT_BOX", value)
+    code, out, err = run(capsys, "verify", "--catalog", "A1")
+    assert (code, err) == (0, "")
+    assert "(box scale 3)" in out
 
 
-def test_box_below_one_is_input_error(capsys, monkeypatch):
+def test_catalog_takes_no_box(capsys):
+    # `catalog` loads no graph and verifies none, so `--box` is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--box", "3"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --box" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--help"])
+    assert exc.value.code == 0
+    assert "--box" not in capsys.readouterr().out
+
+
+def test_box_below_one_is_input_error(capsys):
     for argv in (("verify", "--catalog", "A1", "--box", "0"),
                  ("check", "--catalog", "A1", "--verify", "--box", "-1"),
                  ("sh", "--catalog", "A4", "--box", "-2")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == "error: box scale must be a positive integer\n"
-    for value in ("0", "-2"):
-        monkeypatch.setenv("SINGLAT_BOX", value)
-        code, _out, err = run(capsys, "verify", "--catalog", "A1")
-        assert code == 1
-        assert err == "error: box scale must be a positive integer\n"
-    monkeypatch.setenv("SINGLAT_BOX", "0")
-    code, _out, _err = run(capsys, "verify", "--catalog", "A1", "--box", "2")
-    assert code == 0
 
 
 def test_usage_error_is_exit_one(capsys):
@@ -400,7 +403,6 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     """Consecutive in-process calls share one parser; no option of one call
     (format, box, verify) carries over into the next."""
     from singlat import cli, oracle
-    monkeypatch.delenv("SINGLAT_BOX", raising=False)
     verified = []
     verify_all = oracle.verify_all
     monkeypatch.setattr(oracle, "verify_all",
@@ -440,7 +442,6 @@ def test_verify_audits_the_graph_the_command_names(capsys, tmp_path, monkeypatch
     `blowup` and the input otherwise, once; `check` skips a form that is not
     negative definite, and `verify` runs the oracle only once."""
     from singlat import oracle
-    monkeypatch.delenv("SINGLAT_BOX", raising=False)
     audited = []
     verify_all = oracle.verify_all
     monkeypatch.setattr(oracle, "verify_all",
@@ -580,12 +581,11 @@ def cycle_inits(monkeypatch):
 
 @pytest.mark.parametrize("command", [("sh",), ("blowup", "--vertex", "v1"),
                                      ("extend", "--vertex", "v1"), ("invariants",),
-                                     ("classify",), ("special",)],
+                                     ("classify",), ("special",), ("check",)],
                          ids=lambda command: command[0])
 def test_sh_builds_no_cycle_per_class(capsys, cycle_inits, command):
-    # rows and cycles stay numerators: A9 has twice the classes and more
-    # than twice the vertices of A4, and builds as many `RatCycle`s
-    counts = []
+    # rows and cycles stay numerators: neither A4 nor A9, with twice its
+    # classes and more than twice its vertices, builds a `RatCycle`
     for name, order in (("A4", 5), ("A9", 10)):
         cycle_inits.clear()
         code, doc, _ = run_json(capsys, *command, "--catalog", name)
@@ -594,17 +594,21 @@ def test_sh_builds_no_cycle_per_class(capsys, cycle_inits, command):
         else:
             table = doc.get("rows", doc.get("transform_table", doc.get("families")))
         assert code == 0 and (table is None or len(table) == order)
-        counts.append(len(cycle_inits))
-    assert counts[0] == counts[1]
+        assert cycle_inits == []
 
 
-@pytest.mark.parametrize("name", ["gamma-2-3-7", "cusp-3x3"])
+@pytest.mark.parametrize("name", ["gamma-2-3-7", "cusp-3x3", "simply-elliptic-d3"])
 def test_classify_builds_only_the_elliptic_cycle(capsys, cycle_inits, name):
-    # families and the vertex table stay numerators; the one `RatCycle` is
-    # the elliptic cycle that `classify_singularity` reads its support off
+    # the minimally elliptic verdict reads the elliptic cycle in integers, so
+    # no command but `verify` builds a `RatCycle`, that cycle included
     code, doc, _ = run_json(capsys, "classify", "--catalog", name)
     assert code == 0 and doc["singularity"]["minimally_elliptic"]
-    assert len(cycle_inits) == 1
+    first = dsl.catalog(name).ids[0]
+    for command in (("check",), ("invariants",), ("sh",), ("special",),
+                    ("extend", "--vertex", first), ("blowup", "--vertex", first)):
+        code, _doc, _ = run_json(capsys, *command, "--catalog", name)
+        assert code == (2 if command == ("special",) else 0)  # special: rational only
+    assert cycle_inits == []
 
 
 GOLDEN_GRAPHS = ("A1", "A4", "D6", "E6", "E8", "paper-z7", "gamma-2-3-7", "cusp-3x3",

@@ -256,17 +256,21 @@ def test_verify_all_enumerates_once(z7, monkeypatch):
 
 def test_extension_stability_recomputes_cold(z7, monkeypatch):
     """The returned extension knows its Z_min from a warm start; the check
-    still runs the sequence from the extension's first vertex."""
+    still climbs once, in integers, from the extension's first unit vector,
+    and builds no computation sequence."""
     from singlat import laufer
-    run_sequence = laufer._run_sequence
-    starts = []
+    sequence, run_sequence = laufer._sequence, laufer._run_sequence
+    starts, built = [], []
+    monkeypatch.setattr(laufer, "_sequence",
+                        lambda g, vec, *rest: starts.append((g.ids, list(vec)))
+                        or sequence(g, vec, *rest))
     monkeypatch.setattr(laufer, "_run_sequence",
-                        lambda g, start, *rest: starts.append((g.ids, start))
-                        or run_sequence(g, start, *rest))
+                        lambda g, *rest: built.append(g.ids) or run_sequence(g, *rest))
     transcript = verify_all(z7)
     assert transcript.passed
     ext_ids = z7.ids + (z7.fresh_id("ext"),)
-    assert (ext_ids, RatCycle.unit(ext_ids[0])) in starts
+    assert [vec for ids, vec in starts if ids == ext_ids] == [[1] + [0] * len(z7.ids)]
+    assert ext_ids not in built
 
 
 def test_enumerations_never_run_the_sequence_kernel(z7, monkeypatch):
