@@ -15,7 +15,6 @@ are integer numerators in vertex order, and `cycle_vector` and
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -273,20 +272,21 @@ def adjugate(g: ResolutionGraph) -> tuple[tuple[int, ...], ...]:
 
 
 def cycle_vector(g: ResolutionGraph, cycle: RatCycle) -> tuple[list[int], int]:
-    """A cycle's coefficients in vertex order as integer numerators over the
-    lcm of their denominators, and that lcm: where a `RatCycle` becomes integers."""
-    unknown = [vid for vid in cycle.support if vid not in g._position]
-    if unknown:
-        raise InputError(f"cycle mentions unknown vertex id {unknown[0]!r}")
-    coeffs = [cycle.coefficient(vid) for vid in g.ids]
-    scale = math.lcm(*(x.denominator for x in coeffs))
-    return [x.numerator * (scale // x.denominator) for x in coeffs], scale
+    """A cycle's integer numerators in vertex order over its denominator, the
+    lcm of its coefficients' denominators, and that denominator: a plain read
+    of the `RatCycle`, which stores exactly these, building no `Fraction`."""
+    num, position = cycle._num, g._position  # the stored numerators, read as they are
+    if not num.keys() <= position.keys():
+        unknown = min(vid for vid in num if vid not in position)
+        raise InputError(f"cycle mentions unknown vertex id {unknown!r}")
+    return [num.get(vid, 0) for vid in g.ids], cycle.denominator
 
 
 def vector_cycle(g: ResolutionGraph, vec, scale: int) -> RatCycle:
     """The cycle with integer numerators `vec` over `scale` in vertex order:
-    where integers become a `RatCycle` again, the inverse of `cycle_vector`."""
-    return RatCycle(zip(g.ids, (Fraction(x, scale) for x in vec)))
+    the inverse of `cycle_vector`. The `RatCycle` takes the numerators as
+    they are and reduces them by one gcd, building no `Fraction`."""
+    return RatCycle(zip(g.ids, vec), scale)
 
 
 def sparse_pairings(diag, rows, vec: list[int]) -> list[int]:

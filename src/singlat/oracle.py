@@ -79,7 +79,9 @@ class Box(Record):
             raise InternalError(f"box has no bound for vertex {vid!r}") from None
 
     def contains(self, cycle: RatCycle) -> bool:
-        return all(0 <= cycle.coefficient(vid) <= b for vid, b in self.bounds)
+        den = cycle.denominator
+        vec = cycle.numerators(self._by_vertex)
+        return all(0 <= x <= b * den for x, b in zip(vec, self._by_vertex.values()))
 
 
 def _resolve_box(g: ResolutionGraph, box: Optional[Box]) -> Box:
@@ -285,7 +287,7 @@ def brute_min_chi(g: ResolutionGraph, box: Optional[Box] = None) -> tuple[int, R
                             f"the intersection rows give {2 * two_chi}")
     if two_chi % 2:  # pragma: no cover - chi is integral on integral cycles
         raise InternalError("chi evaluated to a half-integer on an integral cycle")
-    return two_chi // 2, RatCycle(zip(ids, witness))
+    return two_chi // 2, vector_cycle(g, witness, 1)
 
 
 def brute_fundamental_cycle(g: ResolutionGraph, box: Optional[Box] = None) -> Optional[RatCycle]:
@@ -348,7 +350,7 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
     def check_dual_basis():
         for u in ids:
             for v in ids:
-                expected = Fraction(-1 if u == v else 0)
+                expected = -1 if u == v else 0
                 got = pairing(g, duals[u], RatCycle.unit(v))
                 if got != expected:
                     raise InternalError(f"(dual {u}, {v}) = {got}, expected {expected}")
@@ -400,7 +402,8 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
     def check_reduced_reps():
         for h in cg.elements():
             rep = reduced_rep(cg, h)
-            if not all(0 <= rep.coefficient(v) < 1 for v in ids):
+            vec, den = cycle_vector(g, rep)
+            if not all(0 <= x < den for x in vec):
                 raise InternalError(f"reduced representative of {h.coords} leaves [0,1)")
             if class_of(cg, rep) != h:
                 raise InternalError(f"reduced representative of {h.coords} misclassified")
@@ -438,7 +441,8 @@ def verify_all(g: ResolutionGraph, scale: int = 3) -> VerificationTranscript:
         # a fast-path cycle outside the box cannot be audited by it: that is
         # a limit of the box, not a disagreement
         if not box.contains(cycle):
-            needed = max(math.ceil(cycle.coefficient(v) / z_min.coefficient(v)) for v in ids)
+            vec, den = cycle_vector(g, cycle)
+            needed = max(-(-x // (den * z)) for x, z in zip(vec, z_min_numerators(g)))
             raise PreconditionError(
                 f"the cycle {cycle} of class {h.coords} lies outside the scale-{scale} "
                 f"box; scale {needed} is the smallest that covers it")

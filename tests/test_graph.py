@@ -105,6 +105,62 @@ def test_pairing_unknown_vertex():
         pairing(graph([("v", -2)]), RatCycle.unit("w"), RatCycle.unit("v"))
 
 
+# --- cycle_vector and vector_cycle ---
+
+CHAIN = graph([(f"v{i}", -2) for i in range(4)], [(f"v{i}", f"v{i + 1}") for i in range(3)])
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=4, max_size=4), st.integers(1, 10 ** 6))
+def test_cycle_vector_round_trip_is_lowest_terms(vec, scale):
+    """Numerators over the lcm of the reduced denominators, as Fractions give them."""
+    coeffs = [Fraction(x, scale) for x in vec]
+    lcm = math.lcm(*(q.denominator for q in coeffs))
+    expected = ([q.numerator * (lcm // q.denominator) for q in coeffs], lcm)
+    cycle = graph_module.vector_cycle(CHAIN, vec, scale)
+    assert graph_module.cycle_vector(CHAIN, cycle) == expected
+    assert cycle == RatCycle(zip(CHAIN.ids, coeffs))
+
+
+def test_conversions_build_no_fraction(z7, monkeypatch):
+    """`RatCycle` stores the numerators, so neither direction builds a Fraction."""
+    cycles = list(dual_basis(z7).values()) + [canonical_cycle(z7), RatCycle({"E1": "-3/4"})]
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2) and built == [(1, 2)]  # the spy sees a build
+    built.clear()
+    for cycle in cycles:
+        vec, scale = graph_module.cycle_vector(z7, cycle)
+        assert graph_module.vector_cycle(z7, vec, scale) == cycle
+    assert built == []
+
+
+def test_every_build_passes_through_init(z7, monkeypatch):
+    """`vector_cycle` and the arithmetic build through `RatCycle.__init__`,
+    once per cycle, so a spy on it sees every build."""
+    a, b = dual_cycle(z7, "E4"), dual_cycle(z7, "E1")
+    inits = []
+    init = RatCycle.__init__
+
+    def counting(self, *args, **kwargs):
+        inits.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatCycle, "__init__", counting)
+    graph_module.vector_cycle(z7, graph_module.adjugate(z7)[0], 7)
+    assert len(inits) == 1
+    for build in (lambda: a + b, lambda: a - b, lambda: -a, lambda: 3 * a, a.floor, a.frac,
+                  lambda: singlat.cycle_min(a, b)):
+        inits.clear()
+        build()
+        assert len(inits) == 1
+
+
 # --- dual cycles ---
 
 def test_dual_cycle_a1():
