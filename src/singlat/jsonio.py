@@ -35,6 +35,11 @@ SCHEMA_VERSION = "singlat/1"
 
 
 def encode_rational(q) -> dict:
+    """The {"num", "den"} pair of an int, a Fraction or an exact string; a
+    float raises `TypeError`, as its binary fraction is not what it prints."""
+    if isinstance(q, float):
+        raise TypeError(f"cannot encode the float {q!r} as a rational: "
+                        "give an int, a Fraction or an exact string")
     if not isinstance(q, Fraction):
         q = Fraction(q)
     return {"num": str(q.numerator), "den": str(q.denominator)}

@@ -1,11 +1,14 @@
-"""Exact linear algebra for small dense matrices.
+"""Exact linear algebra on integer matrices.
 
 One fraction-free Gauss-Jordan (Bareiss) elimination, `eliminate`, answers
-every question about a square A: its pivots (the leading minors up to the
-first one that is not positive, det(A) last) and, on [A | B], adj(A) B.
-`determinant`, `is_positive_definite`, `solve` and `invert` are views of it.
-The Smith normal form returns both unimodular transforms: the left one
-gives cokernel coordinates, the right one the cokernel's generators.
+every question about a square A in O(n^3): its pivots (the leading minors
+up to the first one that is not positive, det(A) last) and, on [A | B],
+adj(A) B. `determinant`, `is_positive_definite`, `solve` and `invert` are
+views of it. The Smith normal form returns both unimodular transforms: the
+left one gives cokernel coordinates, the right one the cokernel's
+generators. It keeps A's rows sparse: a step costs O(n + m) plus the
+nonzero entries its searches read, so on the matrix of a tree, whose rows
+stay short, it takes O(n^2) where a dense form takes O(n^3).
 """
 
 from __future__ import annotations
@@ -87,46 +90,58 @@ def smith_normal_form(rows):
 
     Returns ``(d, u, v)`` with ``u @ A @ v`` diagonal with entries ``d``
     satisfying ``d[i] >= 0`` and ``d[i] | d[i+1]``, ``u`` and ``v`` unimodular.
+
+    The pivot at step t is the entry of least absolute value in the rows and
+    columns from t on, the first in row-major order among ties. It clears
+    its column and then its row by division; when every remainder is zero,
+    the first lower row holding an entry it does not divide is added to its
+    row, and the step starts again. The rows of A are kept sparse, as
+    {column: entry} dicts, so the two searches read only nonzero entries and
+    a column operation touches only the rows that the row step left holding
+    column t; u's rows and v's columns stay dense, O(n) or O(m) per
+    operation.
     """
-    a = [list(r) for r in rows]
-    n = len(a)
-    m = len(a[0]) if n else 0
+    n = len(rows)
+    m = len(rows[0]) if n else 0
+    a = [{j: x for j, x in enumerate(row) if x} for row in rows]
     u = identity(n)
-    v = identity(m)
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+    v_cols = identity(m)  # the columns of v
+    # from step t on, the rows before t hold nothing in the columns from t on
 
     def row_add(i, j, q):
         # row_i += q * row_j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        row = a[i]
+        for k, y in a[j].items():
+            x = row.get(k, 0) + q * y
+            if x:
+                row[k] = x
+            else:
+                del row[k]
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
 
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def col_add(j, k, q):
-        # col_j += q * col_k
-        for r in a:
-            r[j] += q * r[k]
-        for r in v:
-            r[j] += q * r[k]
+    def col_swap(t, j):
+        for row in a[t:]:
+            if t in row or j in row:
+                x, y = row.pop(t, 0), row.pop(j, 0)
+                if y:
+                    row[t] = y
+                if x:
+                    row[j] = x
+        v_cols[t], v_cols[j] = v_cols[j], v_cols[t]
 
     def pivot_position(t):
-        best = None
+        # the first row holding the least |entry|, then its first column with it
+        least, at = 0, None
         for i in range(t, n):
-            for j in range(t, m):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
+            if a[i]:
+                x = min(map(abs, a[i].values()))
+                if at is None or x < least:
+                    least, at = x, i
+                    if x == 1:  # no later entry is smaller
+                        break
+        if at is None:
+            return None
+        return at, min(j for j, x in a[at].items() if abs(x) == least)
 
     t = 0
     while t < min(n, m):
@@ -136,42 +151,47 @@ def smith_normal_form(rows):
         while True:
             i, j = pos
             if i != t:
-                row_swap(t, i)
+                a[t], a[i] = a[i], a[t]
+                u[t], u[i] = u[i], u[t]
             if j != t:
                 col_swap(t, j)
             p = a[t][t]
-            reduced = True
+            holders = [t]  # the rows left with a nonzero in column t
             for i in range(t + 1, n):
-                if a[i][t]:
-                    q, r = divmod(a[i][t], p)
-                    row_add(i, t, -q)
+                row = a[i]
+                if t in row:
+                    q, r = divmod(row[t], p)
+                    if q:
+                        row_add(i, t, -q)
                     if r:
-                        reduced = False
-            for j in range(t + 1, m):
-                if a[t][j]:
-                    q, r = divmod(a[t][j], p)
-                    col_add(j, t, -q)
-                    if r:
-                        reduced = False
+                        holders.append(i)
+            reduced = len(holders) == 1
+            for j in sorted(a[t])[1:]:  # column t comes first in row t
+                q, r = divmod(a[t][j], p)
+                if q:  # col_j -= q * col_t
+                    for i in holders:
+                        row = a[i]
+                        x = row.get(j, 0) - q * row[t]
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
+                    v_cols[j] = [x - q * y for x, y in zip(v_cols[j], v_cols[t])]
+                if r:
+                    reduced = False
             if reduced:  # every remainder was zero: row and column t are clear
-                # force the divisibility chain before moving on
-                culprit = None
-                for i in range(t + 1, n):
-                    for j in range(t + 1, m):
-                        if a[i][j] % p:
-                            culprit = i
-                            break
-                    if culprit is not None:
-                        break
+                # force the divisibility chain before moving on; a unit divides all
+                culprit = None if abs(p) == 1 else next(
+                    (i for i in range(t + 1, n) if any(x % p for x in a[i].values())), None)
                 if culprit is None:
                     break
                 row_add(t, culprit, 1)
             pos = pivot_position(t)
         if a[t][t] < 0:
-            row_negate(t)
+            a[t] = {k: -x for k, x in a[t].items()}
+            u[t] = [-x for x in u[t]]
         t += 1
-    for i in range(t, n):
-        if any(a[i][j] for j in range(m)):  # pragma: no cover - loop invariant
-            raise InternalError("smith normal form left a nonzero row behind")
-    d = [a[i][i] if i < m else 0 for i in range(min(n, m))]
-    return d, u, v
+    if any(a[t:]):  # pragma: no cover - loop invariant
+        raise InternalError("smith normal form left a nonzero row behind")
+    d = [a[i].get(i, 0) for i in range(min(n, m))]
+    return d, u, [list(row) for row in zip(*v_cols)]

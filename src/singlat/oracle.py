@@ -38,10 +38,10 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from . import laufer
+from . import laufer, linalg
 from .cycles import RatCycle
 from .errors import InputError, InternalError, PreconditionError
-from .graph import (ResolutionGraph, adjugate, adjunction_targets, blow_up, canonical_cycle, chi,
+from .graph import (ResolutionGraph, adjunction_targets, blow_up, canonical_cycle, chi,
                     chi_numerator, cycle_vector, diagonal, dual_basis, extend_graph,
                     intersection_matrix, lattice_determinant, neighbours, pairing,
                     pairing_vector, require_negative_definite, sparse_pairings, total_transform,
@@ -79,9 +79,11 @@ class Box(Record):
             raise InternalError(f"box has no bound for vertex {vid!r}") from None
 
     def contains(self, cycle: RatCycle) -> bool:
+        """Every coefficient within its bound; a vertex with no bound holds none."""
         den = cycle.denominator
         vec = cycle.numerators(self._by_vertex)
-        return all(0 <= x <= b * den for x, b in zip(vec, self._by_vertex.values()))
+        return (self._by_vertex.keys() >= set(cycle.support)
+                and all(0 <= x <= b * den for x, b in zip(vec, self._by_vertex.values())))
 
 
 def _resolve_box(g: ResolutionGraph, box: Optional[Box]) -> Box:
@@ -101,14 +103,16 @@ def _antinef_numerators(g: ResolutionGraph, box: Optional[Box] = None
     Enumerates nonnegative combinations of the dual cycles depth-first in
     lexicographic order; partial sums only grow, so pruning against the box
     is sound. The one enumeration behind `verify_all` and the public
-    wrappers below.
+    wrappers below. The dual cycles come from the dense elimination of
+    [-M | I], not from `adjugate`, whose tree pass the dual-basis check
+    audits: an error there cannot move the points.
     """
     require_negative_definite(g)
     box = _resolve_box(g, box)
-    det = lattice_determinant(g)
     ids = g.ids
     n = len(ids)
-    dual_num = adjugate(g)  # row v: det * (E_v^* coefficient at w), as adj(-M) is symmetric
+    pivots, dual_num = linalg.eliminate(intersection_matrix(g).negated(), linalg.identity(n))
+    det = pivots[-1]  # row v of adj(-M): det * (E_v^* coefficient at w), as it is symmetric
     limits = [box.bound(vid) * det for vid in ids]
     cg = class_group(g)
     factors = cg.factors

@@ -14,6 +14,7 @@ from hypothesis import settings
 
 from singlat import (ResolutionGraph, classify_singularity, intersection_matrix,
                      is_negative_definite, lattice_determinant, linalg)
+from singlat import graph as graph_module
 from singlat.oracle import Box
 
 settings.register_profile("suite", max_examples=50, deadline=None, derandomize=True)
@@ -85,12 +86,27 @@ def negdef_corpus():
     return generate_negdef_corpus()
 
 
-def count_eliminations(monkeypatch, runs):
-    """Record the square block of every Bareiss elimination, by any route:
-    every one passes through `linalg.eliminate`."""
-    eliminate = linalg.eliminate
-    monkeypatch.setattr(linalg, "eliminate", lambda rows, rhs_rows=None: (
-        runs.append([list(row) for row in rows]) or eliminate(rows, rhs_rows)))
+def count_eliminations(monkeypatch, runs, dense_runs=None):
+    """Record the square block of every elimination, by either route: each
+    `linalg.eliminate` call, and each tree pass that returns (as -M). The
+    dense ones also go to `dense_runs` when it is given."""
+    eliminate, tree_pass = linalg.eliminate, graph_module._tree_elimination
+
+    def dense(rows, rhs_rows=None):
+        block = [list(row) for row in rows]
+        runs.append(block)
+        if dense_runs is not None:
+            dense_runs.append(block)
+        return eliminate(rows, rhs_rows)
+
+    def tree(g):
+        result = tree_pass(g)
+        if result is not None:
+            runs.append([list(row) for row in intersection_matrix(g).negated()])
+        return result
+
+    monkeypatch.setattr(linalg, "eliminate", dense)
+    monkeypatch.setattr(graph_module, "_tree_elimination", tree)
 
 
 def tie_break_policies(count=10, seed=CORPUS_SEED + 2):

@@ -493,18 +493,26 @@ def test_one_elimination_per_input_graph(capsys, tmp_path, monkeypatch):
                  blow_up(dsl.catalog("cusp-3x3"), ("E1", "E2"))[0]]
     cases = [(cmd, g) for cmd in ("invariants", "sh", "classify", "special") for g in rational]
     cases += [("check", g) for g in elliptic]
-    runs = []
-    count_eliminations(monkeypatch, runs)
+    cases += [(cmd, g) for cmd in ("extend", "blowup") for g in rational + elliptic]
+    runs, dense_runs = [], []
+    count_eliminations(monkeypatch, runs, dense_runs)
+    trees = 0
     for k, (cmd, g) in enumerate(cases):
         path = tmp_path / f"g{k}.graph"
         path.write_text(dsl.serialize(dsl.GraphDocument(None, g.vertices, g.edges)))
         m = graph.intersection_matrix(g)
         forms = ([list(row) for row in m.rows], [list(row) for row in m.negated()])
+        extra = ("--vertex", g.ids[0]) if cmd in ("extend", "blowup") else ()
         for fmt in ("text", "json"):
             runs.clear()
-            code, _, err = run(capsys, cmd, str(path), "--format", fmt)
+            dense_runs.clear()
+            code, _, err = run(capsys, cmd, str(path), *extra, "--format", fmt)
             assert code == 0, err
             assert sum(map(runs.count, forms)) == 1, (cmd, g, fmt, runs)
+            if g.is_tree:  # every elimination on a tree input is a tree pass
+                assert dense_runs == [], (cmd, g, fmt)
+        trees += g.is_tree
+    assert 0 < trees < len(cases)
 
 
 Z7_CHECKS = (

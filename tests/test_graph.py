@@ -597,3 +597,42 @@ def test_matrix_entry_unknown_id_is_input_error(z7):
         assert str(exc.value) == "unknown vertex id 'zz'"
     with pytest.raises(InputError):
         m.entry(["E1"], "E1")
+
+
+def _seeded_trees_of_every_sign(seed=CORPUS_SEED + 8, count=300):
+    """Random trees of 1-40 vertices, each drawing its Euler numbers from one
+    of three pools, so that definite, indefinite and singular forms (and
+    singular branches inside indefinite trees) are all common."""
+    rng = random.Random(seed)
+    pools = ((-2, -2, -3, -4, -5), (-1, -2, -2, -2, -3), (-1, -2, -2, -1, 0))
+    out = []
+    for _ in range(count):
+        n, pool = rng.randint(1, 40), rng.choice(pools)
+        vertices = [(f"v{i}", rng.choice(pool), rng.choice((0, 0, 1))) for i in range(n)]
+        out.append(graph(vertices, [(f"v{rng.randrange(i)}", f"v{i}") for i in range(1, n)]))
+    return out
+
+
+def test_tree_pass_matches_the_dense_elimination():
+    """On a tree the pass returns exactly when the form is definite, with the
+    dense pass's det(-M) last among positive pivots and its adj(-M); on every
+    other input `_elimination` is the dense pass itself."""
+    sizes = [*range(1, 25), 32, 48, 64, 80]
+    named = [catalog(f"A{n}") for n in sizes] + [catalog(f"D{n}") for n in sizes if n >= 4]
+    named += [catalog(name) for name in catalog_names()]
+    kinds = {"negdef": 0, "indefinite": 0, "singular": 0}
+    for g in [*_seeded_trees_of_every_sign(), *named]:
+        neg = intersection_matrix(g).negated()
+        pivots, adj = linalg.eliminate(neg, linalg.identity(len(neg)))
+        negdef = all(p > 0 for p in pivots)
+        if g.is_tree:
+            kinds["negdef" if negdef else "singular" if pivots[-1] == 0 else "indefinite"] += 1
+        fast = graph_module._tree_elimination(g)
+        assert (fast is not None) == (g.is_tree and negdef), g
+        if fast is None:
+            assert graph_module._elimination(g) == (tuple(pivots), tuple(map(tuple, adj))), g
+            continue
+        assert len(fast[0]) == len(g.vertices) and all(p > 0 for p in fast[0]), g
+        assert fast[0][-1] == pivots[-1] and fast[1] == tuple(map(tuple, adj)), g
+        assert graph_module._elimination(g) == fast, g
+    assert min(kinds.values()) >= 20, kinds

@@ -220,3 +220,13 @@ def test_numerator_writers_match_fractions(vec_scale):
     g = catalog(f"A{len(vec)}")
     cycle = RatCycle(zip(g.ids, (Fraction(x, scale) for x in vec)))
     assert format_cycle(g, vec, scale) == ratcycle_format(g, cycle)
+
+
+def test_encode_rational_refuses_a_float():
+    with pytest.raises(TypeError, match="float 0.1"):
+        encode_rational(0.1)
+    with pytest.raises(TypeError, match="float"):
+        encode_rational(2.0)
+    assert encode_rational("0.1") == {"num": "1", "den": "10"}
+    assert encode_rational(Fraction(-6, 4)) == encode_rational(Fraction(-3, 2)) == {"num": "-3", "den": "2"}
+    assert encode_rational(7) == {"num": "7", "den": "1"}

@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from singlat import catalog, intersection_matrix
+from singlat.dsl import catalog_names
 from singlat.linalg import (determinant, eliminate, identity, invert, is_positive_definite,
                             smith_normal_form, solve)
+
+from conftest import CORPUS_SEED
 
 
 def mat_mul(a, b):
@@ -47,6 +52,102 @@ def test_invert_roundtrip():
     inv = invert(m)
     prod = mat_mul(m, inv)
     assert prod == [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+
+
+def dense_smith_normal_form(rows):
+    """Reference: the dense Smith form that `smith_normal_form` replays on
+    sparse rows, with the same operations in the same order.
+
+    Returns ``(d, u, v)`` with ``u @ A @ v`` diagonal with entries ``d``
+    satisfying ``d[i] >= 0`` and ``d[i] | d[i+1]``, ``u`` and ``v`` unimodular.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    m = len(a[0]) if n else 0
+    u = identity(n)
+    v = identity(m)
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def row_negate(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def row_add(i, j, q):
+        # row_i += q * row_j
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+
+    def col_swap(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def col_add(j, k, q):
+        # col_j += q * col_k
+        for r in a:
+            r[j] += q * r[k]
+        for r in v:
+            r[j] += q * r[k]
+
+    def pivot_position(t):
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(n, m):
+        pos = pivot_position(t)
+        if pos is None:
+            break
+        while True:
+            i, j = pos
+            if i != t:
+                row_swap(t, i)
+            if j != t:
+                col_swap(t, j)
+            p = a[t][t]
+            reduced = True
+            for i in range(t + 1, n):
+                if a[i][t]:
+                    q, r = divmod(a[i][t], p)
+                    row_add(i, t, -q)
+                    if r:
+                        reduced = False
+            for j in range(t + 1, m):
+                if a[t][j]:
+                    q, r = divmod(a[t][j], p)
+                    col_add(j, t, -q)
+                    if r:
+                        reduced = False
+            if reduced:  # every remainder was zero: row and column t are clear
+                # force the divisibility chain before moving on
+                culprit = None
+                for i in range(t + 1, n):
+                    for j in range(t + 1, m):
+                        if a[i][j] % p:
+                            culprit = i
+                            break
+                    if culprit is not None:
+                        break
+                if culprit is None:
+                    break
+                row_add(t, culprit, 1)
+            pos = pivot_position(t)
+        if a[t][t] < 0:
+            row_negate(t)
+        t += 1
+    for i in range(t, n):
+        if any(a[i][j] for j in range(m)):
+            raise AssertionError("smith normal form left a nonzero row behind")
+    d = [a[i][i] if i < m else 0 for i in range(min(n, m))]
+    return d, u, v
 
 
 square_matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -184,3 +285,26 @@ def test_eliminate_matches_invert_and_solve(a, b):
     assert [[Fraction(x, det) for x in row] for row in adj] == invert(a)
     _, block = eliminate(a, [[x] for x in b])
     assert [Fraction(x, det) for (x,) in block] == solve(a, b)
+
+
+def _seeded_integer_matrices(count=400, seed=CORPUS_SEED + 11):
+    """Square and rectangular, sparse and dense, small and large entries:
+    ties for the pivot, zero rows and columns, and remainders are common."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        zeros, top = rng.choice((0, 1, 3)), rng.choice((2, 9, 60))
+        out.append([[rng.choice([0] * zeros + [rng.randint(-top, top)]) for _ in range(m)]
+                    for _ in range(n)])
+    return out
+
+
+def test_sparse_smith_form_replays_the_dense_reference(rational_corpus, negdef_corpus):
+    graphs = [catalog(name) for name in (*catalog_names(), "A160", "A320", "D320")]
+    graphs += [*rational_corpus, *negdef_corpus]
+    matrices = [[list(row) for row in intersection_matrix(g).negated()] for g in graphs]
+    matrices += _seeded_integer_matrices()
+    for a in matrices:
+        assert smith_normal_form(a) == dense_smith_normal_form(a), a
+    assert len(matrices) > 400 + len(catalog_names()) + 140

@@ -165,7 +165,7 @@ def test_brute_min_chi_runs_without_linalg_or_the_sequence_kernel(monkeypatch):
     for g in boxes:
         require_negative_definite(g)
     for module, name in ((linalg, "eliminate"), (laufer, "_climb"),
-                         (graph_module, "adjugate"), (oracle, "adjugate")):
+                         (graph_module, "adjugate"), (graph_module, "_tree_elimination")):
         monkeypatch.setattr(module, name, forbidden)
     assert brute_min_chi(genus_one, boxes[genus_one]) == (0, RatCycle.unit("e"))
     for g, box in boxes.items():
@@ -194,6 +194,41 @@ def test_verify_all_passes(z7):
         transcript = verify_all(g)
         assert transcript.passed, transcript.to_text()
         assert len(transcript.checks) >= 15
+
+
+@pytest.mark.parametrize("name", ["A4", "D5", "E8", "paper-z7"])
+def test_verify_audits_the_tree_pass(name, capsys, monkeypatch):
+    """One wrong entry of adj(-M) from the tree pass (one dual cycle moved by
+    an integral cycle, so it stays in the dual lattice) fails the
+    dual-basis check, while the enumeration, which eliminates densely,
+    returns the points it returns on the true pass."""
+    from singlat import graph as graph_module
+    from singlat import oracle
+    from singlat.cli import main
+    expected = oracle._antinef_numerators(catalog(name))
+    tree_pass = graph_module._tree_elimination
+
+    def corrupted(g):
+        pivots, adj = tree_pass(g)
+        rows = [list(row) for row in adj]
+        rows[0][-1] += pivots[-1]
+        return pivots, tuple(map(tuple, rows))
+
+    monkeypatch.setattr(graph_module, "_tree_elimination", corrupted)
+    assert oracle._antinef_numerators(catalog(name)) == expected
+    failed = [check.name for check in verify_all(catalog(name)).checks if not check.passed]
+    assert failed[0] == "dual-basis-pairings", failed
+    assert main(["verify", "--catalog", name]) == 3
+    assert "FAIL  dual-basis-pairings: (dual " in capsys.readouterr().out
+
+
+def test_box_holds_no_coefficient_on_a_vertex_it_has_no_bound_for():
+    box = Box.for_graph(catalog("A1"))
+    assert not box.contains(RatCycle({"zz": -5}))
+    assert not box.contains(RatCycle({"zz": 1}))
+    assert not box.contains(RatCycle({"v1": 1, "zz": Fraction(1, 2)}))
+    assert box.contains(RatCycle({"v1": 1, "zz": 0}))
+    assert not box.contains(RatCycle({"v1": -5}))
 
 
 def test_verify_all_refuses_indefinite():
